@@ -30,9 +30,7 @@ from .errors import (
     DeoError,
     DimensionMismatchError,
     DuplicateIdError,
-    EmptyBatchError,
     EmptyInputError,
-    EmptyListError,
     EmptyQueryError,
     FormatError,
     InsufficientDataError,
@@ -54,6 +52,7 @@ from .metrics import (
     recall_at_k,
 )
 from .optimizer import (
+    PRESETS,
     DecompositionEmbeddings,
     OptimizationConfig,
     OptimizationTrace,
@@ -61,9 +60,7 @@ from .optimizer import (
     convexity_margin,
     deo_gradient,
     deo_loss,
-    multimodal_preset,
     optimize_query_embedding,
-    text_preset,
 )
 from .store import EmbeddingStore, IngestReport, embed_texts, ingest_corpus, load_store, save_store
 from .vecmath import (

@@ -15,13 +15,25 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import parse_flat_config, _parse_bool
-from .decomposer import DecomposedQuery, DecompositionCache, decompose
+from .analysis import TrajectoryExport, export_trajectory
+from .config import (
+    OPTIMIZER_KEYS,
+    accepts_optimizer_keywords,
+    parse_flat_config,
+    parse_value,
+    split_optimizer_keys,
+)
+from .decomposer import (
+    DEFAULT_MAX_SUBQUERIES,
+    DecomposedQuery,
+    DecompositionCache,
+    decompose,
+)
 from .errors import (
     ConfigError,
     FormatError,
@@ -43,6 +55,7 @@ from .optimizer import (
     optimize_query_embedding,
 )
 from .store import EmbeddingStore, load_store
+from .vecmath import pca_fit
 
 KNOWN_SYSTEMS = ("baseline", "deo", "avg_only", "rrf_only")
 RRF_K = 60.0
@@ -81,6 +94,7 @@ def report_timestamp() -> str:
     return datetime.fromtimestamp(seconds, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+@accepts_optimizer_keywords
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Declarative benchmark description; paths are absolute after loading."""
@@ -98,12 +112,7 @@ class BenchmarkConfig:
     report_json: str = ""
     report_csv: str = ""
     model: str = ""
-    lambda_p: float = 1.0
-    lambda_n: float = 1.0
-    lambda_o: float = 0.2
-    steps: int = 20
-    learning_rate: float = 0.05
-    normalize_inputs: bool = True
+    optimizer: OptimizationConfig = field(default_factory=OptimizationConfig)
     config_hash: str = ""
 
     def __post_init__(self) -> None:
@@ -120,16 +129,6 @@ class BenchmarkConfig:
         if self.depth > 0:
             return self.depth
         return max(parse_metric_spec(spec)[1] for spec in self.metrics)
-
-    def optimization_config(self, steps: int | None = None) -> OptimizationConfig:
-        return OptimizationConfig(
-            lambda_p=self.lambda_p,
-            lambda_n=self.lambda_n,
-            lambda_o=self.lambda_o,
-            steps=self.steps if steps is None else steps,
-            learning_rate=self.learning_rate,
-            normalize_inputs=self.normalize_inputs,
-        )
 
     @classmethod
     def from_file(cls, path) -> "BenchmarkConfig":
@@ -152,22 +151,19 @@ class BenchmarkConfig:
         def resolve(p: str) -> str:
             return p if os.path.isabs(p) else os.path.normpath(os.path.join(base_dir, p))
 
-        kwargs: dict = {"config_hash": config_hash}
+        optimizer, rest = split_optimizer_keys(mapping, path)
+        kwargs: dict = {"config_hash": config_hash, "optimizer": optimizer}
         path_keys = {
             "corpus_store", "queries", "qrels", "query_store", "cache",
             "run_dir", "report_json", "report_csv",
         }
-        float_keys = {"lambda_p", "lambda_n", "lambda_o", "learning_rate"}
-        int_keys = {"depth", "steps"}
-        for key, value in mapping.items():
+        for key, value in rest.items():
             if key in path_keys:
                 kwargs[key] = resolve(value) if value else ""
-            elif key in float_keys:
-                kwargs[key] = float(value)
-            elif key in int_keys:
-                kwargs[key] = int(value)
-            elif key == "offline" or key == "normalize_inputs":
-                kwargs[key] = _parse_bool(value, key)
+            elif key == "depth":
+                kwargs[key] = parse_value(value, "int", key, path)
+            elif key == "offline":
+                kwargs[key] = parse_value(value, "bool", key, path)
             elif key == "systems":
                 kwargs[key] = tuple(s.strip() for s in value.split(",") if s.strip())
             elif key == "metrics":
@@ -209,6 +205,69 @@ class EmbeddingResolver:
             return vec.copy()
         label = record_id or text
         raise MissingEmbeddingError(f"no embedding available for {label!r}")
+
+
+class QueryPipeline:
+    """The query side of DEO that every command shares: a query's
+    decomposition, then the embeddings of the query and its sub-queries.
+
+    Paths name the query embedding store and the decomposition cache ("" for
+    none). A client of None keeps the run offline for that endpoint. `model`
+    selects cache entries; empty means the chat client's model.
+    """
+
+    def __init__(self, query_store: str = "", cache: str = "", chat_client=None,
+                 embed_client=None, model: str = "",
+                 max_subqueries: int = DEFAULT_MAX_SUBQUERIES):
+        store = load_store(query_store) if query_store else None
+        self.resolver = EmbeddingResolver(store, embed_client, offline=embed_client is None)
+        self.cache = DecompositionCache(cache) if cache else None
+        self.chat_client = chat_client
+        self.model = model or getattr(chat_client, "model", "")
+        self.max_subqueries = max_subqueries
+        self._decompositions: dict[str, DecomposedQuery] = {}
+
+    def decomposition(self, query_id: str, text: str) -> DecomposedQuery:
+        """The query's decomposition, memoized by query id.
+
+        Cache rule: the (text, model) entry if there is one; else, when the
+        chat endpoint may be called, a fresh decomposition, which is cached;
+        else (offline) the first cached entry for the text under any model
+        (DecompositionCache.lookup); else MissingDecompositionError.
+        """
+        entry = self._decompositions.get(query_id)
+        if entry is not None:
+            return entry
+        cache = self.cache
+        entry = cache.get(text, self.model) if cache is not None else None
+        if entry is None:
+            if self.chat_client is not None:
+                entry = decompose(text, self.chat_client, query_id=query_id,
+                                  max_subqueries=self.max_subqueries)
+                if cache is not None:
+                    cache.put(entry)
+            elif cache is not None:
+                entry = cache.lookup(text)
+        if entry is None:
+            raise MissingDecompositionError(
+                f"query {query_id!r} has no cached decomposition and the run is offline"
+            )
+        self._decompositions[query_id] = entry
+        return entry
+
+    def query_vector(self, query_id: str, text: str, by_id: bool = True) -> np.ndarray:
+        """Embedding of the query itself; by_id=False looks it up by text
+        only, for ad-hoc queries whose id is a placeholder."""
+        return self.resolver.resolve(text, record_id=query_id if by_id else None)
+
+    def embeddings(self, query_id: str, text: str, by_id: bool = True) -> DecompositionEmbeddings:
+        """The query's decomposition, embedded: the optimizer's input."""
+        entry = self.decomposition(query_id, text)
+        return DecompositionEmbeddings.from_vectors(
+            self.query_vector(query_id, text, by_id),
+            [self.resolver.resolve(t) for t in entry.positives],
+            [self.resolver.resolve(t) for t in entry.negatives],
+        )
 
 
 @dataclass(frozen=True)
@@ -269,11 +328,12 @@ class _BenchmarkRunner:
         self.queries = load_texts_jsonl(cfg.queries)
         self.qrels: Qrels = load_qrels(cfg.qrels)
         self._check_qrels()
-        query_store = load_store(cfg.query_store) if cfg.query_store else None
-        self.resolver = EmbeddingResolver(query_store, embed_client, cfg.offline)
-        self.cache = DecompositionCache(cfg.cache) if cfg.cache else None
-        self.chat_client = chat_client
-        self._decompositions: dict[str, DecomposedQuery] = {}
+        online = not cfg.offline
+        self.pipeline = QueryPipeline(
+            cfg.query_store, cfg.cache,
+            chat_client if online else None, embed_client if online else None,
+            model=cfg.model,
+        )
 
     def _check_qrels(self) -> None:
         known = set(self.index.doc_ids)
@@ -285,38 +345,12 @@ class _BenchmarkRunner:
                         "that is not in the corpus store"
                     )
 
-    def decomposition_for(self, query_id: str, text: str) -> DecomposedQuery:
-        if query_id in self._decompositions:
-            return self._decompositions[query_id]
-        entry: DecomposedQuery | None = None
-        if self.cache is not None:
-            entry = self.cache.lookup(text, self.cfg.model)
-        if entry is None:
-            if self.chat_client is not None and not self.cfg.offline:
-                entry = decompose(text, self.chat_client, query_id=query_id)
-                if self.cache is not None:
-                    self.cache.put(entry)
-            else:
-                raise MissingDecompositionError(
-                    f"query {query_id!r} has no cached decomposition and the run is offline"
-                )
-        self._decompositions[query_id] = entry
-        return entry
-
-    def embedded_decomposition(self, query_id: str, text: str) -> DecompositionEmbeddings:
-        entry = self.decomposition_for(query_id, text)
-        original = self.resolver.resolve(text, record_id=query_id)
-        positives = [self.resolver.resolve(t) for t in entry.positives]
-        negatives = [self.resolver.resolve(t) for t in entry.negatives]
-        return DecompositionEmbeddings.from_vectors(original, positives, negatives)
-
-    def rank_query(self, system: str, query_id: str, text: str,
-                   opt_cfg: OptimizationConfig, depth: int) -> RankedList:
+    def rank_query(self, system: str, query_id: str, text: str, depth: int) -> RankedList:
         if system == "baseline":
-            return self.index.search(self.resolver.resolve(text, record_id=query_id), k=depth)
-        inputs = self.embedded_decomposition(query_id, text)
+            return self.index.search(self.pipeline.query_vector(query_id, text), k=depth)
+        inputs = self.pipeline.embeddings(query_id, text)
         if system == "deo":
-            final, _ = optimize_query_embedding(inputs, opt_cfg)
+            final, _ = optimize_query_embedding(inputs, self.cfg.optimizer)
             return self.index.search(final, k=depth)
         if system == "avg_only":
             fused = fuse_mean(
@@ -332,9 +366,8 @@ class _BenchmarkRunner:
             return rrf_fuse(lists, k=depth, k_rrf=RRF_K)
         raise ConfigError(f"unknown system {system!r}")
 
-    def run(self, opt_cfg: OptimizationConfig | None = None) -> MetricReport:
+    def run(self) -> MetricReport:
         cfg = self.cfg
-        opt_cfg = opt_cfg or cfg.optimization_config()
         depth = cfg.search_depth
         query_ids = sorted(self.queries)
         flagged = [
@@ -348,7 +381,7 @@ class _BenchmarkRunner:
         rankings_by_system: dict[str, dict[str, RankedList]] = {}
         for system in cfg.systems:
             rankings = {
-                qid: self.rank_query(system, qid, self.queries[qid], opt_cfg, depth)
+                qid: self.rank_query(system, qid, self.queries[qid], depth)
                 for qid in query_ids
             }
             rankings_by_system[system] = rankings
@@ -377,14 +410,7 @@ class _BenchmarkRunner:
             "systems": list(cfg.systems),
             "metrics": list(cfg.metrics),
             "depth": depth,
-            "optimizer": {
-                "lambda_p": opt_cfg.lambda_p,
-                "lambda_n": opt_cfg.lambda_n,
-                "lambda_o": opt_cfg.lambda_o,
-                "steps": opt_cfg.steps,
-                "learning_rate": opt_cfg.learning_rate,
-                "normalize_inputs": opt_cfg.normalize_inputs,
-            },
+            "optimizer": {key: getattr(cfg.optimizer, key) for key in OPTIMIZER_KEYS},
             "queries_without_relevant": flagged,
         }
         return MetricReport(metadata=metadata, aggregates=aggregates, per_query=per_query)
@@ -398,6 +424,20 @@ def run_benchmark(cfg: BenchmarkConfig, chat_client=None, embed_client=None) -> 
     from runs.
     """
     return _BenchmarkRunner(cfg, chat_client, embed_client).run()
+
+
+def trajectory(cfg: BenchmarkConfig, query_id: str, chat_client=None,
+               embed_client=None) -> TrajectoryExport:
+    """Optimize one benchmark query and export its path, projected onto the
+    corpus's first two principal components."""
+    runner = _BenchmarkRunner(cfg, chat_client, embed_client)
+    if query_id not in runner.queries:
+        raise KeyError(f"query id {query_id!r} not in {cfg.queries}")
+    inputs = runner.pipeline.embeddings(query_id, runner.queries[query_id])
+    _, trace = optimize_query_embedding(inputs, cfg.optimizer)
+    basis = pca_fit(runner.index.unit_vectors(), n_components=2)
+    plotted = inputs.normalized() if cfg.optimizer.normalize_inputs else inputs
+    return export_trajectory(trace, plotted, runner.index, runner.qrels.get(query_id, {}), basis)
 
 
 @dataclass(frozen=True)
@@ -443,7 +483,8 @@ class SweepConfig:
                 except ValueError:
                     raise ConfigError(f"{path}: non-numeric lambda in {chunk!r}") from None
         if not triples:
-            triples = [(cfg.lambda_o, cfg.lambda_p, cfg.lambda_n)]
+            opt = cfg.optimizer
+            triples = [(opt.lambda_o, opt.lambda_p, opt.lambda_n)]
 
         steps_list: list[int] = []
         if steps_value:
@@ -456,7 +497,7 @@ class SweepConfig:
                 except ValueError:
                     raise ConfigError(f"{path}: non-integer steps {chunk!r}") from None
         if not steps_list:
-            steps_list = [cfg.steps]
+            steps_list = [cfg.optimizer.steps]
 
         if not os.path.isabs(out_csv) and out_csv:
             out_csv = os.path.normpath(os.path.join(base_dir, out_csv))
@@ -486,16 +527,10 @@ def sweep(cfg: SweepConfig, chat_client=None, embed_client=None) -> tuple[list[M
     )
     for lambda_o, lambda_p, lambda_n in cfg.lambda_triples:
         for steps in cfg.steps_list:
-            point = replace(
-                cfg.base,
-                lambda_o=lambda_o,
-                lambda_p=lambda_p,
-                lambda_n=lambda_n,
-                steps=steps,
-                run_dir="",
-            )
-            runner.cfg = point
-            report = runner.run(point.optimization_config())
+            optimizer = replace(cfg.base.optimizer, lambda_o=lambda_o, lambda_p=lambda_p,
+                                lambda_n=lambda_n, steps=steps)
+            runner.cfg = replace(cfg.base, optimizer=optimizer, run_dir="")
+            report = runner.run()
             reports.append(report)
             writer.writerow(
                 [

@@ -16,23 +16,12 @@ from dataclasses import replace
 from . import analysis, benchmark
 from .clients import ChatClient, EmbeddingClient
 from .config import ToolConfig
-from .decomposer import (
-    DecomposedQuery,
-    DecompositionCache,
-    decompose,
-    decompose_many,
-)
-from .errors import (
-    DeoError,
-    MissingDecompositionError,
-    TransportError,
-)
+from .decomposer import DecompositionCache, decompose_many
+from .errors import DeoError, TransportError
 from .index import FlatIndex
 from .ioutil import atomic_write_text, load_texts_jsonl
-from .metrics import load_qrels
-from .optimizer import DecompositionEmbeddings, optimize_query_embedding
+from .optimizer import PRESETS, OptimizationConfig, optimize_query_embedding
 from .store import ingest_corpus, load_store
-from .vecmath import pca_fit
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -54,6 +43,10 @@ def _tool_config(args) -> ToolConfig:
     return cfg
 
 
+def _with_steps(optimizer: OptimizationConfig, steps: int | None) -> OptimizationConfig:
+    return optimizer if steps is None else replace(optimizer, steps=steps)
+
+
 def _chat_client(cfg: ToolConfig) -> ChatClient:
     return ChatClient(cfg.chat_client_config(), model=cfg.chat_model,
                       temperature=cfg.temperature)
@@ -63,29 +56,13 @@ def _embed_client(cfg: ToolConfig) -> EmbeddingClient:
     return EmbeddingClient(cfg.embed_client_config(), model=cfg.embed_model)
 
 
-def _resolver(args, cfg: ToolConfig) -> benchmark.EmbeddingResolver:
-    store = load_store(args.query_store) if getattr(args, "query_store", None) else None
-    offline = bool(getattr(args, "offline", False))
-    client = None if offline else _embed_client(cfg)
-    return benchmark.EmbeddingResolver(store, client, offline)
-
-
-def _cached_or_decompose(text: str, query_id: str, cfg: ToolConfig,
-                         cache: DecompositionCache | None,
-                         offline: bool) -> DecomposedQuery:
-    if cache is not None:
-        entry = cache.get(text, cfg.chat_model) or cache.lookup(text, "")
-        if entry is not None:
-            return entry
-    if offline:
-        raise MissingDecompositionError(
-            f"query {query_id!r} has no cached decomposition and --offline is set"
-        )
-    entry = decompose(text, _chat_client(cfg), query_id=query_id,
-                      max_subqueries=cfg.max_subqueries)
-    if cache is not None:
-        cache.put(entry)
-    return entry
+def _pipeline(args, cfg: ToolConfig) -> benchmark.QueryPipeline:
+    online = not args.offline
+    return benchmark.QueryPipeline(
+        args.query_store or "", args.cache or "",
+        _chat_client(cfg) if online else None, _embed_client(cfg) if online else None,
+        model=cfg.chat_model, max_subqueries=cfg.max_subqueries,
+    )
 
 
 def cmd_decompose(args) -> int:
@@ -141,48 +118,35 @@ def cmd_search(args) -> int:
     cfg = _tool_config(args)
     store = load_store(args.store)
     index = FlatIndex.build(store.items())
-    resolver = _resolver(args, cfg)
-    cache = DecompositionCache(args.cache) if args.cache else None
+    pipeline = _pipeline(args, cfg)
+    optimizer = _with_steps(cfg.optimizer, args.steps)
 
     if args.query is not None:
         # ad-hoc text has no real id; resolve it by text, not the placeholder
         queries = {"q1": args.query}
-        ids_resolve = False
+        by_id = False
     else:
         queries = load_texts_jsonl(args.queries)
-        ids_resolve = True
+        by_id = True
 
     run_tag = args.run_tag or ("deo" if args.deo else "baseline")
     for query_id in sorted(queries):
         text = queries[query_id]
-        rid = query_id if ids_resolve else None
         if args.deo:
-            entry = _cached_or_decompose(text, query_id, cfg, cache, args.offline)
-            inputs = DecompositionEmbeddings.from_vectors(
-                resolver.resolve(text, record_id=rid),
-                [resolver.resolve(t) for t in entry.positives],
-                [resolver.resolve(t) for t in entry.negatives],
-            )
-            embedding, _ = optimize_query_embedding(
-                inputs, cfg.optimization_config(steps=args.steps)
-            )
+            inputs = pipeline.embeddings(query_id, text, by_id)
+            embedding, _ = optimize_query_embedding(inputs, optimizer)
         else:
-            embedding = resolver.resolve(text, record_id=rid)
+            embedding = pipeline.query_vector(query_id, text, by_id)
         _print_trec(query_id, index.search(embedding, k=args.k), run_tag)
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
     cfg = _tool_config(args)
-    resolver = _resolver(args, cfg)
-    cache = DecompositionCache(args.cache) if args.cache else None
-    entry = _cached_or_decompose(args.query, "q1", cfg, cache, args.offline)
-    inputs = DecompositionEmbeddings.from_vectors(
-        resolver.resolve(args.query),
-        [resolver.resolve(t) for t in entry.positives],
-        [resolver.resolve(t) for t in entry.negatives],
-    )
-    opt_cfg = cfg.optimization_config(steps=args.steps)
+    pipeline = _pipeline(args, cfg)
+    inputs = pipeline.embeddings("q1", args.query, by_id=False)
+    entry = pipeline.decomposition("q1", args.query)
+    opt_cfg = _with_steps(cfg.optimizer, args.steps)
     final, trace = optimize_query_embedding(inputs, opt_cfg)
 
     doc = {
@@ -250,22 +214,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_trajectory(args) -> int:
     cfg = benchmark.BenchmarkConfig.from_file(args.config)
+    cfg = replace(cfg, optimizer=_with_steps(cfg.optimizer, args.steps))
     chat_client, embed_client = _benchmark_clients(args, cfg.offline)
-    runner = benchmark._BenchmarkRunner(cfg, chat_client, embed_client)
-    queries = runner.queries
-    if args.query_id not in queries:
-        raise KeyError(f"query id {args.query_id!r} not in {cfg.queries}")
-    text = queries[args.query_id]
-    inputs = runner.embedded_decomposition(args.query_id, text)
-    opt_cfg = cfg.optimization_config(steps=args.steps)
-    _, trace = optimize_query_embedding(inputs, opt_cfg)
-
-    basis = pca_fit(runner.index.unit_vectors(), n_components=2)
-    plotted = inputs.normalized() if opt_cfg.normalize_inputs else inputs
-    qrels = load_qrels(cfg.qrels)
-    export = analysis.export_trajectory(
-        trace, plotted, runner.index, qrels.get(args.query_id, {}), basis
-    )
+    export = benchmark.trajectory(cfg, args.query_id, chat_client, embed_client)
     analysis.write_trajectory_csv(export, args.out_prefix + ".csv")
     analysis.write_trajectory_json(export, args.out_prefix + ".json")
     analysis.write_trajectory_svg(export, args.out_prefix + ".svg")
@@ -283,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="flat key = value tool config file")
-        p.add_argument("--preset", choices=("text", "multimodal"),
+        p.add_argument("--preset", choices=tuple(PRESETS),
                        help="loss-weight preset")
 
     p = sub.add_parser("decompose", help="queries file -> decomposition cache")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import requests
 
-from .errors import EmptyBatchError, TransportError
+from .errors import EmptyInputError, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +115,7 @@ class EmbeddingClient:
 
     def embed(self, texts: list[str]) -> list[list[float]]:
         if not texts:
-            raise EmptyBatchError("embed requires at least one text")
+            raise EmptyInputError("embed requires at least one text")
         payload = {"model": self.model, "input": list(texts)}
         data = _post_with_retries(self.cfg, "/v1/embeddings", payload, self._sleep)
         try:

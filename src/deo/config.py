@@ -1,16 +1,23 @@
 """Tool configuration: flat key = value files, presets, and secrets.
 
 Config files never hold API keys, only the names of environment variables
-that hold them. Unknown keys are rejected so typos fail fast.
+that hold them. Unknown keys are rejected so typos fail fast. The optimizer
+settings (OPTIMIZER_KEYS) are flat keys in every config file and one nested
+OptimizationConfig in every config object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import functools
+from dataclasses import dataclass, field, fields, replace
 
 from .clients import ClientConfig
 from .errors import ConfigError
-from .optimizer import OptimizationConfig
+from .optimizer import PRESETS, OptimizationConfig
+
+# Adam's constants are fixed; every other optimizer field is a config key.
+OPTIMIZER_KEYS = {f.name: f.type for f in fields(OptimizationConfig)
+                  if f.name not in ("beta1", "beta2", "epsilon")}
 
 
 def parse_flat_config(text: str, path: str = "<config>") -> dict[str, str]:
@@ -33,13 +40,59 @@ def parse_flat_config(text: str, path: str = "<config>") -> dict[str, str]:
     return out
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: cannot parse {value!r} as a boolean")
+def parse_value(value: str, kind: str, key: str, path: str):
+    """Convert one raw value to kind ('bool', 'int', 'float', else str).
+
+    A value that does not parse is a ConfigError naming the file and key.
+    """
+    try:
+        if kind == "bool":
+            lowered = value.lower()
+            if lowered in ("true", "1", "yes", "on"):
+                return True
+            if lowered in ("false", "0", "no", "off"):
+                return False
+            raise ValueError(value)
+        if kind == "int":
+            return int(value)
+        if kind == "float":
+            return float(value)
+        return value
+    except ValueError:
+        raise ConfigError(f"{path}: key {key!r} has invalid value {value!r}") from None
+
+
+def split_optimizer_keys(
+    mapping: dict[str, str], path: str
+) -> tuple[OptimizationConfig, dict[str, str]]:
+    """Parse the flat optimizer keys of a config mapping.
+
+    Returns the OptimizationConfig they describe (defaults for absent keys)
+    and the mapping's other keys.
+    """
+    rest = dict(mapping)
+    kwargs = {key: parse_value(rest.pop(key), kind, key, path)
+              for key, kind in OPTIMIZER_KEYS.items() if key in rest}
+    try:
+        return OptimizationConfig(**kwargs), rest
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def accepts_optimizer_keywords(cls):
+    """Let cls(...) also take the flat optimizer keys as keywords, folded
+    into its nested `optimizer`, as config files do."""
+    init = cls.__init__
+
+    @functools.wraps(init)
+    def __init__(self, *args, **kwargs):
+        flat = {key: kwargs.pop(key) for key in OPTIMIZER_KEYS if key in kwargs}
+        if flat:
+            kwargs["optimizer"] = replace(kwargs.get("optimizer", OptimizationConfig()), **flat)
+        init(self, *args, **kwargs)
+
+    cls.__init__ = __init__
+    return cls
 
 
 @dataclass(frozen=True)
@@ -53,39 +106,23 @@ class ToolConfig:
     embed_base_url: str = "https://api.openai.com"
     embed_model: str = "text-embedding-3-small"
     embed_api_key_env: str = "OPENAI_API_KEY"
-    lambda_p: float = 1.0
-    lambda_n: float = 1.0
-    lambda_o: float = 0.2
-    steps: int = 20
-    learning_rate: float = 0.05
-    normalize_inputs: bool = True
+    optimizer: OptimizationConfig = field(default_factory=OptimizationConfig)
     max_subqueries: int = 8
     batch_size: int = 64
     concurrency: int = 4
-    cache_dir: str = ".deo-cache"
     timeout: float = 60.0
     max_retries: int = 3
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str], path: str = "<config>") -> "ToolConfig":
-        known = {f.name: f.type for f in fields(cls)}
+        optimizer, rest = split_optimizer_keys(mapping, path)
+        known = {f.name: f.type for f in fields(cls) if f.name != "optimizer"}
         kwargs = {}
-        for key, value in mapping.items():
+        for key, value in rest.items():
             if key not in known:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
-            kind = known[key]
-            try:
-                if kind == "bool":
-                    kwargs[key] = _parse_bool(value, key)
-                elif kind == "int":
-                    kwargs[key] = int(value)
-                elif kind == "float":
-                    kwargs[key] = float(value)
-                else:
-                    kwargs[key] = value
-            except ValueError:
-                raise ConfigError(f"{path}: key {key!r} has invalid value {value!r}") from None
-        return cls(**kwargs)
+            kwargs[key] = parse_value(value, known[key], key, path)
+        return cls(optimizer=optimizer, **kwargs)
 
     @classmethod
     def from_file(cls, path) -> "ToolConfig":
@@ -94,23 +131,10 @@ class ToolConfig:
         return cls.from_mapping(parse_flat_config(text, str(path)), str(path))
 
     def with_preset(self, preset: str) -> "ToolConfig":
-        """Apply a named lambda preset; 'text' keeps the anchor weight low,
-        'multimodal' raises it to 1.0."""
-        if preset == "text":
-            return replace(self, lambda_p=1.0, lambda_n=1.0, lambda_o=0.2)
-        if preset == "multimodal":
-            return replace(self, lambda_p=1.0, lambda_n=1.0, lambda_o=1.0)
-        raise ConfigError(f"unknown preset {preset!r} (expected 'text' or 'multimodal')")
-
-    def optimization_config(self, steps: int | None = None) -> OptimizationConfig:
-        return OptimizationConfig(
-            lambda_p=self.lambda_p,
-            lambda_n=self.lambda_n,
-            lambda_o=self.lambda_o,
-            steps=self.steps if steps is None else steps,
-            learning_rate=self.learning_rate,
-            normalize_inputs=self.normalize_inputs,
-        )
+        """Apply a named loss-weight preset from optimizer.PRESETS."""
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
+        return replace(self, optimizer=replace(self.optimizer, **PRESETS[preset]))
 
     def chat_client_config(self) -> ClientConfig:
         return ClientConfig(

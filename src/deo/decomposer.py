@@ -238,12 +238,6 @@ class DecompositionCache:
                 return self._entries[key]
         return None
 
-    def get_by_id(self, query_id: str) -> DecomposedQuery | None:
-        for key in self._order:
-            if self._entries[key].query_id == query_id:
-                return self._entries[key]
-        return None
-
     def put(self, entry: DecomposedQuery, flush: bool = True) -> None:
         key = (entry.original, entry.model)
         if key not in self._entries:

@@ -33,10 +33,6 @@ class TransportError(DeoError):
     """Network or HTTP failure that survived the retry budget."""
 
 
-class EmptyBatchError(DeoError):
-    """An embedding request with no texts."""
-
-
 class FormatError(DeoError):
     """A file does not match its declared on-disk format."""
 
@@ -45,12 +41,9 @@ class DuplicateIdError(DeoError):
     """The same record id appears more than once."""
 
 
-class EmptyListError(DeoError):
-    """An aggregate over an empty collection of vectors."""
-
-
 class EmptyInputError(DeoError):
-    """Rank fusion called with no input lists."""
+    """An operation that needs at least one item (text, vector, document or
+    ranked list) got none."""
 
 
 class MissingDecompositionError(DeoError):

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicateIdError,
-    EmptyInputError,
-    EmptyListError,
-)
+from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError
 from .vecmath import as_vector, l2_normalize
 
 
@@ -80,7 +75,7 @@ class FlatIndex:
             doc_ids.append(doc_id)
             rows.append(unit)
         if not doc_ids:
-            raise EmptyListError("cannot build an index from zero documents")
+            raise EmptyInputError("cannot build an index from zero documents")
         return cls(doc_ids, np.stack(rows))
 
     def __len__(self) -> int:
@@ -130,7 +125,7 @@ def fuse_mean(vectors) -> np.ndarray:
     """Element-wise mean of the given vectors (simple embedding fusion)."""
     rows = [as_vector(v) for v in vectors]
     if not rows:
-        raise EmptyListError("fuse_mean requires at least one vector")
+        raise EmptyInputError("fuse_mean requires at least one vector")
     dim = rows[0].shape[0]
     for r in rows[1:]:
         if r.shape[0] != dim:

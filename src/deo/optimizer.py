@@ -27,8 +27,7 @@ logger = logging.getLogger(__name__)
 class OptimizationConfig:
     """Loss weights and Adam settings.
 
-    Defaults are the text-retrieval preset: lambda_p = lambda_n = 1,
-    lambda_o = 0.2, 20 steps. The multimodal preset raises lambda_o to 1.0.
+    The default loss weights are the "text" entry of PRESETS; 20 steps.
     """
 
     lambda_p: float = 1.0
@@ -56,12 +55,12 @@ class OptimizationConfig:
             raise ValueError("epsilon must be non-negative")
 
 
-def text_preset() -> OptimizationConfig:
-    return OptimizationConfig(lambda_p=1.0, lambda_n=1.0, lambda_o=0.2)
-
-
-def multimodal_preset() -> OptimizationConfig:
-    return OptimizationConfig(lambda_p=1.0, lambda_n=1.0, lambda_o=1.0)
+# Named loss-weight presets. "multimodal" raises the anchor weight for
+# embedding spaces where drifting far from the original query is riskier.
+PRESETS = {
+    "text": {"lambda_p": 1.0, "lambda_n": 1.0, "lambda_o": 0.2},
+    "multimodal": {"lambda_p": 1.0, "lambda_n": 1.0, "lambda_o": 1.0},
+}
 
 
 def _as_matrix(vectors, dim: int, label: str) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DuplicateIdError, EmptyBatchError, FormatError
+from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError, FormatError
 from .ioutil import atomic_write_bytes, read_jsonl
 
 JSONL_FORMAT_NAME = "deo-emb"
@@ -201,7 +201,7 @@ def embed_texts(client, texts: list[str], batch_size: int = 64) -> list[np.ndarr
     a batch, since a flaky endpoint can change models mid-stream.
     """
     if not texts:
-        raise EmptyBatchError("embed_texts requires at least one text")
+        raise EmptyInputError("embed_texts requires at least one text")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     out: list[np.ndarray] = []

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from deo.errors import (
     MissingEmbeddingError,
 )
 from deo.index import FlatIndex, fuse_mean, rrf_fuse
+from deo.optimizer import OptimizationConfig
 from deo.store import EmbeddingStore
 
 
@@ -140,6 +142,13 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_config_missing_required(tmp_path):
     with pytest.raises(ConfigError, match="missing required"):
         BenchmarkConfig.from_mapping({"corpus_store": "a"})
+
+
+def test_config_folds_flat_optimizer_keys(tmp_path):
+    expected = OptimizationConfig(lambda_o=1.0, steps=3)
+    cfg = BenchmarkConfig(corpus_store="a", queries="b", qrels="c", lambda_o=1.0, steps=3)
+    assert cfg.optimizer == expected
+    assert build_env(tmp_path, extra_cfg="lambda_o = 1.0\nsteps = 3\n").optimizer == expected
 
 
 def test_parse_metric_spec():
@@ -291,6 +300,25 @@ def test_offline_missing_decomposition(tmp_path):
             fh.write(json.dumps(row) + "\n")
     with pytest.raises(MissingDecompositionError, match="q2"):
         run_benchmark(cfg)
+
+
+class ScriptedChatClient:
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def complete(self, prompt, system=None):
+        self.calls += 1
+        return '{"positives": ["alpha things"], "negatives": ["beta things"]}'
+
+
+@pytest.mark.parametrize("client_model, calls", [("test-model", 0), ("other-model", 3)])
+def test_online_run_without_model_matches_client_model(tmp_path, client_model, calls):
+    # the cache holds test-model entries; online, only the client's model hits
+    cfg = replace(build_env(tmp_path), model="", offline=False)
+    chat = ScriptedChatClient(client_model)
+    run_benchmark(cfg, chat_client=chat)
+    assert chat.calls == calls
 
 
 def test_offline_missing_subquery_embedding(tmp_path):

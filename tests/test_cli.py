@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deo.cli import main
+from deo.config import parse_flat_config
 from deo.store import load_store
 
 
@@ -76,6 +77,22 @@ def test_offline_cache_miss_is_data_error(fixtures_dir, tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "MissingDecompositionError"
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("steps", "abc", "key 'steps' has invalid value 'abc'"),
+    ("depth", "ten", "key 'depth' has invalid value 'ten'"),
+    ("steps", "-1", "steps must be >= 0"),
+])
+def test_eval_bad_config_value_names_file_and_key(fixtures_dir, tmp_path, capsys,
+                                                   key, value, message):
+    cfg = tmp_path / "bench.cfg"
+    write_bench_cfg(cfg, fixtures_dir, **{key: value})
+    code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
+    assert code == 1
+    diag = json.loads(err.strip())
+    assert diag["error"] == "ConfigError"
+    assert str(cfg) in diag["message"] and message in diag["message"]
+
+
 # -- index / search -----------------------------------------------------------
 
 
@@ -115,10 +132,8 @@ def test_search_deo_matches_golden_run(fixtures_dir, capsys):
         "--deo", "--offline", "--k", "20",
     )
     assert code == 0
-    got_q1 = [l for l in out.splitlines() if l.startswith("q1 ")]
-    golden = (fixtures_dir / "golden" / "runs" / "deo.run").read_text()
-    want_q1 = [l for l in golden.splitlines() if l.startswith("q1 ")]
-    assert got_q1 == want_q1
+    # eval's deo run, every query: search and eval share one query pipeline
+    assert out == (fixtures_dir / "golden" / "runs" / "deo.run").read_text()
 
 
 def test_search_single_query_resolves_by_text(fixtures_dir, capsys):
@@ -239,6 +254,72 @@ def test_trajectory_unknown_query_id(fixtures_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "q99" in json.loads(err.strip())["message"]
+
+
+# -- decomposition cache rule ------------------------------------------------
+
+
+def write_bench_cfg(path, fixtures_dir, **overrides):
+    # the committed bench.cfg, with absolute paths and the given keys replaced
+    keys = parse_flat_config((fixtures_dir / "bench.cfg").read_text())
+    for key in ("corpus_store", "queries", "qrels", "query_store", "cache"):
+        keys[key] = str(fixtures_dir / keys[key])
+    keys.update(overrides)
+    path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+
+
+def test_offline_eval_falls_back_to_any_models_entry(fixtures_dir, tmp_path, capsys):
+    # the cache holds only fixture-llm entries; offline, they are reused
+    write_bench_cfg(tmp_path / "bench.cfg", fixtures_dir, model="other")
+    code, _, err = run_cli(capsys, "eval", "--config", str(tmp_path / "bench.cfg"),
+                           "--run-dir", str(tmp_path / "runs"))
+    assert code == 0, err
+    for run in ("baseline", "deo", "avg_only", "rrf_only"):
+        assert ((tmp_path / "runs" / f"{run}.run").read_bytes()
+                == (fixtures_dir / "golden" / "runs" / f"{run}.run").read_bytes())
+
+
+def test_online_search_ignores_other_models_entries(fixtures_dir, tmp_path, mock_api, capsys):
+    mock_api.embed_dim = 8
+    cfg = write_tool_cfg(tmp_path, mock_api)
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes((fixtures_dir / "cache.jsonl").read_bytes())
+    code, out, err = run_cli(
+        capsys, "search", "--config", str(cfg),
+        "--store", str(fixtures_dir / "corpus.emb.jsonl"),
+        "--queries", str(fixtures_dir / "queries.jsonl"),
+        "--cache", str(cache), "--deo", "--k", "3",
+    )
+    assert code == 0, err
+    assert len(out.splitlines()) == 15
+    # one chat request per query, each result cached under the client's model
+    assert mock_api.request_count("/v1/chat/completions") == 5
+    models = [json.loads(line)["model"] for line in cache.read_text().splitlines()]
+    assert models == ["fixture-llm"] * 5 + ["mock-llm"] * 5
+
+
+@pytest.mark.parametrize("chat_model, positive", [
+    ("fixture-llm", "nuclear reactor design"),       # the exact (text, model) entry
+    ("unknown-llm", "onshore wind farm technology"),  # offline: the first entry
+])
+def test_cache_rule_picks_entry_by_model(fixtures_dir, tmp_path, capsys, chat_model, positive):
+    text = "nuclear reactor designs"
+    cache = tmp_path / "cache.jsonl"
+    rows = [("other-llm", "onshore wind farm technology"),
+            ("fixture-llm", "nuclear reactor design"),
+            ("third-llm", "geothermal heating systems")]
+    cache.write_text("".join(
+        json.dumps({"query_id": "q4", "query": text, "positives": [p],
+                    "negatives": [], "model": model}) + "\n" for model, p in rows))
+    cfg = tmp_path / "tool.cfg"
+    cfg.write_text(f"chat_model = {chat_model}\n")
+    code, out, err = run_cli(
+        capsys, "optimize", "--config", str(cfg), "--query", text,
+        "--query-store", str(fixtures_dir / "queries.emb.jsonl"),
+        "--cache", str(cache), "--offline",
+    )
+    assert code == 0, err
+    assert json.loads(out)["positives"] == [positive]
 
 
 def write_online_bench_cfg(path, fixtures_dir):

@@ -2,7 +2,8 @@ import pytest
 
 from deo.clients import ChatClient, ClientConfig, EmbeddingClient, _post_with_retries
 from deo.config import ToolConfig, parse_flat_config
-from deo.errors import ConfigError, EmptyBatchError, TransportError
+from deo.errors import ConfigError, EmptyInputError, TransportError
+from deo.optimizer import OptimizationConfig
 
 
 # -- flat config parser ----------------------------------------------------
@@ -35,12 +36,13 @@ def test_tool_config_defaults():
     cfg = ToolConfig()
     assert cfg.chat_model == "gpt-4.1-nano"
     assert cfg.temperature == 0.1
-    assert cfg.steps == 20
-    assert cfg.learning_rate == 0.05
+    assert cfg.optimizer.steps == 20
+    assert cfg.optimizer.learning_rate == 0.05
     assert cfg.max_subqueries == 8
     assert cfg.batch_size == 64
     assert cfg.concurrency == 4
-    assert (cfg.lambda_p, cfg.lambda_n, cfg.lambda_o) == (1.0, 1.0, 0.2)
+    opt = cfg.optimizer
+    assert (opt.lambda_p, opt.lambda_n, opt.lambda_o) == (1.0, 1.0, 0.2)
 
 
 def test_tool_config_from_file_and_types(tmp_path):
@@ -53,9 +55,9 @@ def test_tool_config_from_file_and_types(tmp_path):
     )
     cfg = ToolConfig.from_file(path)
     assert cfg.chat_model == "local-llm"
-    assert cfg.steps == 7
-    assert cfg.learning_rate == 0.1
-    assert cfg.normalize_inputs is False
+    assert cfg.optimizer.steps == 7
+    assert cfg.optimizer.learning_rate == 0.1
+    assert cfg.optimizer.normalize_inputs is False
 
 
 def test_tool_config_rejects_unknown_and_bad_values(tmp_path):
@@ -65,21 +67,25 @@ def test_tool_config_rejects_unknown_and_bad_values(tmp_path):
         ToolConfig.from_mapping({"steps": "many"})
     with pytest.raises(ConfigError):
         ToolConfig.from_mapping({"normalize_inputs": "maybe"})
+    with pytest.raises(ConfigError, match="steps must be >= 0"):
+        ToolConfig.from_mapping({"steps": "-1"})
+    with pytest.raises(ConfigError, match="unknown config key 'optimizer'"):
+        ToolConfig.from_mapping({"optimizer": "x"})
 
 
 def test_tool_config_presets():
-    cfg = ToolConfig()
-    assert cfg.with_preset("text").lambda_o == 0.2
-    assert cfg.with_preset("multimodal").lambda_o == 1.0
+    cfg = ToolConfig(optimizer=OptimizationConfig(lambda_o=0.5, steps=3))
+    assert cfg.with_preset("text").optimizer == OptimizationConfig(lambda_o=0.2, steps=3)
+    assert cfg.with_preset("multimodal").optimizer.lambda_o == 1.0
     with pytest.raises(ConfigError):
         cfg.with_preset("audio")
 
 
 def test_tool_config_projections():
-    cfg = ToolConfig(steps=3, lambda_n=0.5, timeout=5.0, max_retries=1)
-    opt = cfg.optimization_config()
-    assert (opt.steps, opt.lambda_n) == (3, 0.5)
-    assert cfg.optimization_config(steps=0).steps == 0
+    cfg = ToolConfig.from_mapping(
+        {"steps": "3", "lambda_n": "0.5", "timeout": "5.0", "max_retries": "1"}
+    )
+    assert (cfg.optimizer.steps, cfg.optimizer.lambda_n) == (3, 0.5)
     cc = cfg.chat_client_config()
     assert (cc.timeout, cc.max_retries) == (5.0, 1)
     assert cfg.embed_client_config().base_url == cfg.embed_base_url
@@ -122,7 +128,7 @@ def test_embed_roundtrip(mock_api):
 
 def test_embed_rejects_empty_batch(mock_api):
     client = EmbeddingClient(make_cfg(mock_api))
-    with pytest.raises(EmptyBatchError):
+    with pytest.raises(EmptyInputError):
         client.embed([])
     assert mock_api.request_count() == 0
 

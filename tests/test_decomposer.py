@@ -196,7 +196,6 @@ def test_cache_lookup_any_model(tmp_path):
     assert cache.get("q text", "other") is None
     assert cache.lookup("q text", "") is not None
     assert cache.lookup("q text", "other") is None
-    assert cache.get_by_id("q1") is not None
 
 
 def test_cache_rejects_malformed_lines(tmp_path):

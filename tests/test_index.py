@@ -7,7 +7,6 @@ from deo.errors import (
     DimensionMismatchError,
     DuplicateIdError,
     EmptyInputError,
-    EmptyListError,
     ZeroVectorError,
 )
 from deo.index import FlatIndex, RankedList, fuse_mean, rrf_fuse, write_trec_run
@@ -44,7 +43,7 @@ def test_build_rejects_duplicates_zero_vectors_and_mismatches():
         FlatIndex.build([("a", [0.0, 0.0])])
     with pytest.raises(DimensionMismatchError):
         FlatIndex.build([("a", [1.0, 0.0]), ("b", [1.0, 0.0, 0.0])])
-    with pytest.raises(EmptyListError):
+    with pytest.raises(EmptyInputError):
         FlatIndex.build([])
 
 
@@ -131,7 +130,7 @@ def test_fuse_mean():
     v = np.array([0.3, -0.2, 0.9])
     assert np.allclose(fuse_mean([v]), v)
     assert np.allclose(fuse_mean([v, v, v]), v)
-    with pytest.raises(EmptyListError):
+    with pytest.raises(EmptyInputError):
         fuse_mean([])
     with pytest.raises(DimensionMismatchError):
         fuse_mean([[1.0, 0.0], [1.0, 0.0, 0.0]])

@@ -6,15 +6,14 @@ import pytest
 
 from deo.errors import DimensionMismatchError, NotStronglyConvexError
 from deo.optimizer import (
+    PRESETS,
     DecompositionEmbeddings,
     OptimizationConfig,
     closed_form_optimum,
     convexity_margin,
     deo_gradient,
     deo_loss,
-    multimodal_preset,
     optimize_query_embedding,
-    text_preset,
 )
 
 
@@ -46,8 +45,9 @@ def test_config_defaults_match_presets():
     assert cfg.learning_rate == 0.05
     assert (cfg.beta1, cfg.beta2, cfg.epsilon) == (0.9, 0.999, 1e-8)
     assert cfg.normalize_inputs is True
-    assert text_preset().lambda_o == 0.2
-    assert multimodal_preset().lambda_o == 1.0
+    assert OptimizationConfig(**PRESETS["text"]) == cfg
+    assert PRESETS["text"]["lambda_o"] == 0.2
+    assert PRESETS["multimodal"]["lambda_o"] == 1.0
 
 
 def test_config_validation():

@@ -6,7 +6,7 @@ import pytest
 from deo.errors import (
     DimensionMismatchError,
     DuplicateIdError,
-    EmptyBatchError,
+    EmptyInputError,
     FormatError,
 )
 from deo.index import FlatIndex
@@ -204,7 +204,7 @@ def test_embed_texts_batching_and_order():
 
 def test_embed_texts_validation():
     embedder = CountingEmbedder()
-    with pytest.raises(EmptyBatchError):
+    with pytest.raises(EmptyInputError):
         embed_texts(embedder, [])
     with pytest.raises(ValueError):
         embed_texts(embedder, ["a"], batch_size=0)
