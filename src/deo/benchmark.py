@@ -219,11 +219,19 @@ class QueryPipeline:
     def __init__(self, query_store: str = "", cache: str = "", chat_client=None,
                  embed_client=None, model: str = "",
                  max_subqueries: int = DEFAULT_MAX_SUBQUERIES):
+        client_model = getattr(chat_client, "model", "")
+        if chat_client is not None and model and model != client_model:
+            # fresh decompositions are cached under the client's model, so
+            # lookups under `model` would miss them on every run
+            raise ConfigError(
+                f"model {model!r} differs from the chat client's model {client_model!r}; "
+                "decompositions made online could never be found in the cache"
+            )
         store = load_store(query_store) if query_store else None
         self.resolver = EmbeddingResolver(store, embed_client, offline=embed_client is None)
         self.cache = DecompositionCache(cache) if cache else None
         self.chat_client = chat_client
-        self.model = model or getattr(chat_client, "model", "")
+        self.model = model or client_model
         self.max_subqueries = max_subqueries
         self._decompositions: dict[str, DecomposedQuery] = {}
 
@@ -320,11 +328,12 @@ def _mean(values: list[float]) -> float:
 class _BenchmarkRunner:
     """Holds loaded data so sweeps can rerun without reloading stores."""
 
-    def __init__(self, cfg: BenchmarkConfig, chat_client=None, embed_client=None):
+    def __init__(self, cfg: BenchmarkConfig, chat_client=None, embed_client=None,
+                 max_subqueries: int = DEFAULT_MAX_SUBQUERIES):
         self.cfg = cfg
         corpus = load_store(cfg.corpus_store)
         self.corpus_model = corpus.model
-        self.index = FlatIndex.build(corpus.items())
+        self.index = FlatIndex.from_matrix(corpus.ids, corpus.matrix)
         self.queries = load_texts_jsonl(cfg.queries)
         self.qrels: Qrels = load_qrels(cfg.qrels)
         self._check_qrels()
@@ -332,7 +341,7 @@ class _BenchmarkRunner:
         self.pipeline = QueryPipeline(
             cfg.query_store, cfg.cache,
             chat_client if online else None, embed_client if online else None,
-            model=cfg.model,
+            model=cfg.model, max_subqueries=max_subqueries,
         )
 
     def _check_qrels(self) -> None:
@@ -345,26 +354,42 @@ class _BenchmarkRunner:
                         "that is not in the corpus store"
                     )
 
-    def rank_query(self, system: str, query_id: str, text: str, depth: int) -> RankedList:
+    def _search_vectors(self, system: str, query_id: str, text: str) -> tuple[list, bool]:
+        """The vectors one system searches with for one query, and whether
+        their rankings are rank-fused (rrf_only) or used as they are."""
         if system == "baseline":
-            return self.index.search(self.pipeline.query_vector(query_id, text), k=depth)
+            return [self.pipeline.query_vector(query_id, text)], False
         inputs = self.pipeline.embeddings(query_id, text)
         if system == "deo":
             final, _ = optimize_query_embedding(inputs, self.cfg.optimizer)
-            return self.index.search(final, k=depth)
+            return [final], False
         if system == "avg_only":
-            fused = fuse_mean(
-                [inputs.original, *inputs.positives, *inputs.negatives]
-            )
-            return self.index.search(fused, k=depth)
+            return [fuse_mean([inputs.original, *inputs.positives, *inputs.negatives])], False
         if system == "rrf_only":
             sub_vectors = [*inputs.positives, *inputs.negatives]
             if not sub_vectors:
                 # nothing to fuse; degrade to the plain query
-                return self.index.search(inputs.original, k=depth)
-            lists = [self.index.search(v, k=depth) for v in sub_vectors]
-            return rrf_fuse(lists, k=depth, k_rrf=RRF_K)
+                return [inputs.original], False
+            return sub_vectors, True
         raise ConfigError(f"unknown system {system!r}")
+
+    def rank_queries(self, system: str, query_ids: list[str], depth: int) -> dict[str, RankedList]:
+        """Rank every query for one system with one search_many call."""
+        groups: list[tuple[int, bool]] = []
+
+        def vectors():
+            # lazy, so a bad query raises before later queries are resolved
+            for query_id in query_ids:
+                found, fused = self._search_vectors(system, query_id, self.queries[query_id])
+                groups.append((len(found), fused))
+                yield from found
+
+        lists = iter(self.index.search_many(vectors(), k=depth))
+        rankings: dict[str, RankedList] = {}
+        for query_id, (count, fused) in zip(query_ids, groups):
+            own = [next(lists) for _ in range(count)]
+            rankings[query_id] = rrf_fuse(own, k=depth, k_rrf=RRF_K) if fused else own[0]
+        return rankings
 
     def run(self) -> MetricReport:
         cfg = self.cfg
@@ -380,10 +405,7 @@ class _BenchmarkRunner:
         aggregates: dict = {}
         rankings_by_system: dict[str, dict[str, RankedList]] = {}
         for system in cfg.systems:
-            rankings = {
-                qid: self.rank_query(system, qid, self.queries[qid], depth)
-                for qid in query_ids
-            }
+            rankings = self.rank_queries(system, query_ids, depth)
             rankings_by_system[system] = rankings
             per_query[system] = {}
             aggregates[system] = {}
@@ -416,21 +438,22 @@ class _BenchmarkRunner:
         return MetricReport(metadata=metadata, aggregates=aggregates, per_query=per_query)
 
 
-def run_benchmark(cfg: BenchmarkConfig, chat_client=None, embed_client=None) -> MetricReport:
+def run_benchmark(cfg: BenchmarkConfig, chat_client=None, embed_client=None,
+                  max_subqueries: int = DEFAULT_MAX_SUBQUERIES) -> MetricReport:
     """Evaluate every configured system and return the metric report.
 
     Writes TREC run files when cfg.run_dir is set; report files are the
     caller's job (the CLI handles them), keeping this function pure apart
-    from runs.
+    from runs. max_subqueries caps the decompositions made online.
     """
-    return _BenchmarkRunner(cfg, chat_client, embed_client).run()
+    return _BenchmarkRunner(cfg, chat_client, embed_client, max_subqueries).run()
 
 
 def trajectory(cfg: BenchmarkConfig, query_id: str, chat_client=None,
-               embed_client=None) -> TrajectoryExport:
+               embed_client=None, max_subqueries: int = DEFAULT_MAX_SUBQUERIES) -> TrajectoryExport:
     """Optimize one benchmark query and export its path, projected onto the
     corpus's first two principal components."""
-    runner = _BenchmarkRunner(cfg, chat_client, embed_client)
+    runner = _BenchmarkRunner(cfg, chat_client, embed_client, max_subqueries)
     if query_id not in runner.queries:
         raise KeyError(f"query id {query_id!r} not in {cfg.queries}")
     inputs = runner.pipeline.embeddings(query_id, runner.queries[query_id])
@@ -509,7 +532,8 @@ class SweepConfig:
         )
 
 
-def sweep(cfg: SweepConfig, chat_client=None, embed_client=None) -> tuple[list[MetricReport], str]:
+def sweep(cfg: SweepConfig, chat_client=None, embed_client=None,
+          max_subqueries: int = DEFAULT_MAX_SUBQUERIES) -> tuple[list[MetricReport], str]:
     """Run the benchmark once per grid point.
 
     Returns the reports (grid order: lambda triples outer, steps inner) and
@@ -518,7 +542,7 @@ def sweep(cfg: SweepConfig, chat_client=None, embed_client=None) -> tuple[list[M
     """
     if "deo" not in cfg.base.systems:
         raise ConfigError("sweep requires the 'deo' system in the benchmark config")
-    runner = _BenchmarkRunner(cfg.base, chat_client, embed_client)
+    runner = _BenchmarkRunner(cfg.base, chat_client, embed_client, max_subqueries)
     reports: list[MetricReport] = []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -102,9 +102,13 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _load_index(path) -> FlatIndex:
+    store = load_store(path)
+    return FlatIndex.from_matrix(store.ids, store.matrix)
+
+
 def cmd_index(args) -> int:
-    store = load_store(args.store)
-    index = FlatIndex.build(store.items())
+    index = _load_index(args.store)
     print(f"index ok: {len(index)} docs, dim {index.dim}")
     return EXIT_OK
 
@@ -116,8 +120,7 @@ def _print_trec(query_id: str, ranking, run_tag: str) -> None:
 
 def cmd_search(args) -> int:
     cfg = _tool_config(args)
-    store = load_store(args.store)
-    index = FlatIndex.build(store.items())
+    index = _load_index(args.store)
     pipeline = _pipeline(args, cfg)
     optimizer = _with_steps(cfg.optimizer, args.steps)
 
@@ -170,12 +173,15 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _benchmark_clients(args, offline: bool):
+def _benchmark_endpoints(args, offline: bool) -> dict:
+    """Keyword arguments for run_benchmark, sweep and trajectory: an online
+    benchmark's clients and decomposition limit, from --tool-config."""
     if offline:
-        return None, None
+        return {}
     tool_cfg = (ToolConfig.from_file(args.tool_config)
                 if getattr(args, "tool_config", None) else ToolConfig())
-    return _chat_client(tool_cfg), _embed_client(tool_cfg)
+    return {"chat_client": _chat_client(tool_cfg), "embed_client": _embed_client(tool_cfg),
+            "max_subqueries": tool_cfg.max_subqueries}
 
 
 def cmd_eval(args) -> int:
@@ -184,8 +190,7 @@ def cmd_eval(args) -> int:
         cfg = replace(cfg, offline=True)
     if args.run_dir:
         cfg = replace(cfg, run_dir=args.run_dir)
-    chat_client, embed_client = _benchmark_clients(args, cfg.offline)
-    report = benchmark.run_benchmark(cfg, chat_client, embed_client)
+    report = benchmark.run_benchmark(cfg, **_benchmark_endpoints(args, cfg.offline))
 
     report_json = args.report_json or cfg.report_json
     report_csv = args.report_csv or cfg.report_csv
@@ -203,8 +208,7 @@ def cmd_sweep(args) -> int:
     cfg = benchmark.SweepConfig.from_file(args.config)
     if args.out:
         cfg = replace(cfg, out_csv=args.out)
-    chat_client, embed_client = _benchmark_clients(args, cfg.base.offline)
-    reports, csv_text = benchmark.sweep(cfg, chat_client, embed_client)
+    reports, csv_text = benchmark.sweep(cfg, **_benchmark_endpoints(args, cfg.base.offline))
     if cfg.out_csv:
         print(f"swept {len(reports)} grid points -> {cfg.out_csv}")
     else:
@@ -215,8 +219,8 @@ def cmd_sweep(args) -> int:
 def cmd_trajectory(args) -> int:
     cfg = benchmark.BenchmarkConfig.from_file(args.config)
     cfg = replace(cfg, optimizer=_with_steps(cfg.optimizer, args.steps))
-    chat_client, embed_client = _benchmark_clients(args, cfg.offline)
-    export = benchmark.trajectory(cfg, args.query_id, chat_client, embed_client)
+    export = benchmark.trajectory(cfg, args.query_id,
+                                  **_benchmark_endpoints(args, cfg.offline))
     analysis.write_trajectory_csv(export, args.out_prefix + ".csv")
     analysis.write_trajectory_json(export, args.out_prefix + ".json")
     analysis.write_trajectory_svg(export, args.out_prefix + ".svg")

@@ -1,8 +1,11 @@
 """Exact cosine retrieval over an in-memory corpus, plus rank fusion.
 
-Document vectors are unit-normalized once at build time, so scoring a query
-is a single matrix-vector product. Ties are broken by ascending doc id to
-keep every ranking deterministic.
+Document vectors are unit-normalized once at build time. Queries are scored
+in blocks of SEARCH_BLOCK rows, one matrix product per block against the
+whole corpus; that product only picks candidates, whose final scores are
+recomputed one query at a time, so a query ranks the same alone or in any
+batch. Ties are broken by ascending doc id to keep every ranking
+deterministic.
 """
 
 from __future__ import annotations
@@ -11,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError
-from .vecmath import as_vector, l2_normalize
+from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError, ZeroVectorError
+from .vecmath import ZERO_NORM_EPS, as_vector, l2_normalize
+
+# Queries scored per matrix product in FlatIndex.search_many.
+SEARCH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -46,37 +52,67 @@ class FlatIndex:
     def __init__(self, doc_ids: list[str], matrix: np.ndarray):
         self._doc_ids = list(doc_ids)
         self._matrix = matrix
-        # lexsort key; object dtype keeps arbitrary-length ids comparable
-        self._id_array = np.array(self._doc_ids, dtype=object)
-        self._positions = {doc_id: i for i, doc_id in enumerate(self._doc_ids)}
+        self._positions: dict[str, int] = {}
+        for i, doc_id in enumerate(self._doc_ids):
+            if self._positions.setdefault(doc_id, i) != i:
+                raise DuplicateIdError(f"duplicate doc id {doc_id!r}")
+        # integer tie-break key: each row's place in ascending doc id order
+        n = len(self._doc_ids)
+        self._id_rank = np.empty(n, dtype=np.int64)
+        self._id_rank[sorted(range(n), key=self._doc_ids.__getitem__)] = np.arange(n)
 
     @classmethod
     def build(cls, records) -> "FlatIndex":
         """Build from an iterable of (doc_id, vector) pairs.
 
-        Vectors are unit-normalized here; zero vectors raise ZeroVectorError
-        and duplicate ids raise DuplicateIdError.
+        Same checks and vectors as from_matrix, plus DimensionMismatchError
+        for a record whose dimension differs from the first one's.
         """
         doc_ids: list[str] = []
         rows: list[np.ndarray] = []
-        seen: set[str] = set()
-        dim: int | None = None
         for doc_id, vec in records:
-            if doc_id in seen:
-                raise DuplicateIdError(f"duplicate doc id {doc_id!r}")
-            seen.add(doc_id)
-            unit = l2_normalize(as_vector(vec))
-            if dim is None:
-                dim = unit.shape[0]
-            elif unit.shape[0] != dim:
+            row = np.asarray(vec, dtype=np.float64)
+            if row.ndim != 1:
+                raise DimensionMismatchError(f"doc {doc_id!r} is not a 1-D vector")
+            if rows and row.shape[0] != rows[0].shape[0]:
                 raise DimensionMismatchError(
-                    f"doc {doc_id!r} has dimension {unit.shape[0]}, expected {dim}"
+                    f"doc {doc_id!r} has dimension {row.shape[0]}, expected {rows[0].shape[0]}"
                 )
             doc_ids.append(doc_id)
-            rows.append(unit)
+            rows.append(row)
+        return cls.from_matrix(doc_ids, rows)
+
+    @classmethod
+    def from_matrix(cls, doc_ids, vectors) -> "FlatIndex":
+        """Build from ids and an (n, d) matrix whose rows are their vectors.
+
+        Rows are unit-normalized with the same arithmetic as l2_normalize.
+        Duplicate ids raise DuplicateIdError, a NaN or Inf component
+        ValueError and a zero row ZeroVectorError, each naming the doc.
+        """
+        doc_ids = list(doc_ids)
         if not doc_ids:
             raise EmptyInputError("cannot build an index from zero documents")
-        return cls(doc_ids, np.stack(rows))
+        unit = np.array(vectors, dtype=np.float64)
+        if unit.ndim != 2 or unit.shape[0] != len(doc_ids):
+            raise DimensionMismatchError(
+                f"expected an ({len(doc_ids)}, d) matrix, got shape {unit.shape}"
+            )
+        finite = np.isfinite(unit).all(axis=1)
+        if not finite.all():
+            doc_id = doc_ids[int(np.argmin(finite))]
+            raise ValueError(f"doc {doc_id!r} has NaN or Inf components")
+        # row @ row is the dot product np.linalg.norm takes for one vector, so
+        # each row gets the bits l2_normalize would give it
+        norms = np.sqrt(np.fromiter((row @ row for row in unit), np.float64, len(doc_ids)))
+        zero = norms <= ZERO_NORM_EPS
+        if zero.any():
+            pos = int(np.argmax(zero))
+            raise ZeroVectorError(
+                f"doc {doc_ids[pos]!r} has norm {norms[pos]:g} and cannot be normalized"
+            )
+        unit /= norms[:, None]
+        return cls(doc_ids, unit)
 
     def __len__(self) -> int:
         return len(self._doc_ids)
@@ -106,18 +142,55 @@ class FlatIndex:
 
     def search(self, query, k: int = 10) -> RankedList:
         """Top-k by cosine similarity; ties broken by ascending doc id."""
+        return self.search_many([query], k)[0]
+
+    def search_many(self, queries, k: int = 10) -> list[RankedList]:
+        """search() for each query of an iterable, in order.
+
+        Each query is normalized as it is taken from the iterable, so a bad
+        query raises before later ones are produced.
+        """
         if k <= 0:
             raise ValueError("k must be positive")
-        q = l2_normalize(as_vector(query))
+        units = [self._unit_query(q) for q in queries]
+        results: list[RankedList] = []
+        for start in range(0, len(units), SEARCH_BLOCK):
+            block = np.stack(units[start : start + SEARCH_BLOCK])
+            for q, scores in zip(block, block @ self._matrix.T):
+                results.append(self._top_k(q, scores, k))
+        return results
+
+    def _unit_query(self, query) -> np.ndarray:
+        q = l2_normalize(query)
         if q.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"query has dimension {q.shape[0]}, index has {self.dim}"
             )
-        scores = self._matrix @ q
-        order = np.lexsort((self._id_array, -scores))[: min(k, len(self._doc_ids))]
+        return q
+
+    def _top_k(self, q: np.ndarray, approx: np.ndarray, k: int) -> RankedList:
+        # The block product's last bits depend on the block's shape and on
+        # the row's place in it (BLAS kernels differ at tile edges), so it
+        # only picks candidates: every doc within rounding error of the k-th
+        # best, which takes in all docs tied with it. Their scores are then
+        # recomputed from q alone, one fixed-order sum per doc, and sorted by
+        # (-score, id rank).
+        n = len(self._doc_ids)
+        if k < n:
+            kth = np.partition(approx, n - k)[n - k]
+            # Any two summation orders of d products of unit vectors differ
+            # by at most d * eps, so a true top-k doc lies at most 2 * d * eps
+            # below kth; the slack doubles that.
+            slack = 4 * self.dim * np.finfo(np.float64).eps
+            candidates = np.flatnonzero(approx >= kth - slack)
+            rows = self._matrix[candidates]
+        else:
+            candidates, rows = np.arange(n), self._matrix
+        scores = np.add.reduce(rows * q, axis=1)
+        order = np.lexsort((self._id_rank[candidates], -scores))[:k]
         return RankedList(
-            doc_ids=tuple(self._doc_ids[i] for i in order),
-            scores=tuple(float(scores[i]) for i in order),
+            doc_ids=tuple(self._doc_ids[i] for i in candidates[order]),
+            scores=tuple(scores[order].tolist()),
         )
 
 

@@ -27,13 +27,21 @@ BINARY_MAGIC = b"DEOEMB1\x00"
 
 @dataclass
 class EmbeddingStore:
-    """Ordered id -> float32 vector map with fixed dimension."""
+    """Ordered id -> float32 vector map with fixed dimension.
+
+    The vectors live in one contiguous float32 array whose first len(self)
+    rows are in use; add() grows it by doubling.
+    """
 
     dim: int
     model: str = ""
     _ids: list[str] = field(default_factory=list, repr=False)
     _index: dict[str, int] = field(default_factory=dict, repr=False)
-    _rows: list[np.ndarray] = field(default_factory=list, repr=False)
+    _vectors: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self._vectors is None:
+            self._vectors = np.empty((0, self.dim), dtype=np.float32)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -45,6 +53,13 @@ class EmbeddingStore:
     def ids(self) -> list[str]:
         return list(self._ids)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Read-only (len(self), dim) float32 view, row order = ids."""
+        view = self._vectors[: len(self._ids)]
+        view.flags.writeable = False
+        return view
+
     def add(self, record_id: str, vector) -> None:
         if record_id in self._index:
             raise DuplicateIdError(f"id {record_id!r} already stored")
@@ -55,9 +70,14 @@ class EmbeddingStore:
             raise FormatError(
                 f"vector for {record_id!r} has dimension {row.shape[0]}, store has {self.dim}"
             )
-        self._index[record_id] = len(self._ids)
+        n = len(self._ids)
+        if n == self._vectors.shape[0]:
+            grown = np.empty((max(8, 2 * n), self.dim), dtype=np.float32)
+            grown[:n] = self._vectors
+            self._vectors = grown
+        self._vectors[n] = row
+        self._index[record_id] = n
         self._ids.append(record_id)
-        self._rows.append(row)
 
     def get(self, record_id: str) -> np.ndarray:
         """Return the vector as float64 for downstream arithmetic."""
@@ -65,7 +85,7 @@ class EmbeddingStore:
             pos = self._index[record_id]
         except KeyError:
             raise KeyError(f"id {record_id!r} not in store") from None
-        return self._rows[pos].astype(np.float64)
+        return self._vectors[pos].astype(np.float64)
 
     def items(self):
         for record_id in self._ids:
@@ -82,8 +102,7 @@ class EmbeddingStore:
             "model": self.model,
         }
         buf.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for record_id in self._ids:
-            vec = self._rows[self._index[record_id]]
+        for record_id, vec in zip(self._ids, self._vectors):
             line = json.dumps(
                 {"id": record_id, "vector": [float(x) for x in vec]},
                 separators=(",", ":"),
@@ -130,13 +149,13 @@ class EmbeddingStore:
         buf.write(BINARY_MAGIC)
         buf.write(struct.pack("<I", self.dim))
         buf.write(struct.pack("<Q", len(self._ids)))
-        for record_id in self._ids:
+        for record_id, vec in zip(self._ids, self._vectors):
             encoded = record_id.encode("utf-8")
             if len(encoded) > 0xFFFF:
                 raise FormatError(f"id {record_id!r} exceeds 65535 encoded bytes")
             buf.write(struct.pack("<H", len(encoded)))
             buf.write(encoded)
-            buf.write(self._rows[self._index[record_id]].astype("<f4").tobytes())
+            buf.write(vec.astype("<f4").tobytes())
         atomic_write_bytes(path, buf.getvalue())
 
     @classmethod
@@ -154,7 +173,11 @@ class EmbeddingStore:
         offset += 8
         if dim <= 0:
             raise FormatError(f"{path}: header dim must be positive")
-        store = cls(dim=dim)
+        # ids and vector offsets first, so the matrix is allocated only once
+        # the file is known to hold every record the header counts
+        ids: list[str] = []
+        index: dict[str, int] = {}
+        starts: list[int] = []
         vec_bytes = 4 * dim
         for i in range(count):
             if offset + 2 > len(data):
@@ -164,16 +187,21 @@ class EmbeddingStore:
             if offset + id_len + vec_bytes > len(data):
                 raise FormatError(f"{path}: truncated record {i} at offset {offset}")
             record_id = data[offset : offset + id_len].decode("utf-8")
-            offset += id_len
-            vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-            offset += vec_bytes
-            try:
-                store.add(record_id, vec)
-            except DuplicateIdError:
-                raise FormatError(f"{path}: duplicate id {record_id!r} in record {i}") from None
+            if record_id in index:
+                raise FormatError(f"{path}: duplicate id {record_id!r} in record {i}")
+            index[record_id] = i
+            ids.append(record_id)
+            starts.append(offset + id_len)
+            offset += id_len + vec_bytes
         if offset != len(data):
             raise FormatError(f"{path}: {len(data) - offset} trailing bytes after records")
-        return store
+        packed = bytearray(count * vec_bytes)
+        source, target = memoryview(data), memoryview(packed)
+        for i, start in enumerate(starts):
+            target[i * vec_bytes : (i + 1) * vec_bytes] = source[start : start + vec_bytes]
+        vectors = np.frombuffer(packed, dtype="<f4").reshape(count, dim)
+        return cls(dim=dim, _ids=ids, _index=index,
+                   _vectors=vectors.astype(np.float32, copy=False))
 
 
 def load_store(path) -> EmbeddingStore:

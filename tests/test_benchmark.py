@@ -19,6 +19,7 @@ from deo.errors import (
     FormatError,
     MissingDecompositionError,
     MissingEmbeddingError,
+    ZeroVectorError,
 )
 from deo.index import FlatIndex, fuse_mean, rrf_fuse
 from deo.optimizer import OptimizationConfig
@@ -330,6 +331,35 @@ def test_offline_missing_subquery_embedding(tmp_path):
     qstore.save_jsonl(tmp_path / "queries.emb.jsonl")
     with pytest.raises(MissingEmbeddingError, match="beta things"):
         run_benchmark(cfg)
+
+
+def test_first_bad_query_raises_first(tmp_path):
+    # q1's vector cannot be normalized and q2's is missing: the run stops
+    # at q1, as it did when every query was searched on its own
+    cfg = build_env(tmp_path, systems="baseline")
+    qstore = EmbeddingStore(dim=4, model="test-enc")
+    qstore.add("q1", [0.0, 0.0, 0.0, 0.0])
+    qstore.add("q3", QUERY_VECS["q3"])
+    qstore.save_jsonl(tmp_path / "queries.emb.jsonl")
+    with pytest.raises(ZeroVectorError):
+        run_benchmark(cfg)
+
+
+def test_rrf_only_fuses_each_querys_own_lists(tmp_path):
+    # one search_many call carries every sub-query of every query; each
+    # query must fuse exactly its own sub-query rankings
+    cfg = build_env(tmp_path, systems="rrf_only", extra_cfg="run_dir = runs\n")
+    run_benchmark(cfg)
+    index = FlatIndex.build(DOCS.items())
+    depth = cfg.search_depth
+    lines = (tmp_path / "runs" / "rrf_only.run").read_text().splitlines()
+    for row in CACHE_ROWS:
+        lists = [index.search(QUERY_VECS[t], k=depth)
+                 for t in [*row["positives"], *row["negatives"]]]
+        expected = rrf_fuse(lists, k=depth, k_rrf=60.0)
+        got = [l.split() for l in lines if l.startswith(row["query_id"] + " ")]
+        assert [g[2] for g in got] == list(expected.doc_ids)
+        assert [g[4] for g in got] == [f"{score:.6f}" for score in expected.scores]
 
 
 def test_qrels_unknown_doc_rejected(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from deo.cli import main
 from deo.config import parse_flat_config
-from deo.store import load_store
+from deo.store import EmbeddingStore, load_store, save_store
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +101,25 @@ def test_index_ok(fixtures_dir, capsys):
                            str(fixtures_dir / "corpus.emb.jsonl"))
     assert code == 0
     assert out.strip() == "index ok: 20 docs, dim 8"
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([0.0, 0.0, 0.0, 0.0], "ZeroVectorError"),
+    ([float("nan"), 0.0, 1.0, 0.0], "ValueError"),
+])
+def test_index_names_the_bad_doc(tmp_path, capsys, bad, error):
+    store = EmbeddingStore(dim=4)
+    store.add("fine", [1.0, 0.0, 0.0, 0.0])
+    store.add("broken", bad)
+    store.add("also-fine", [0.0, 1.0, 0.0, 0.0])
+    save_store(store, tmp_path / "corpus.bin", fmt="binary")
+    code, out, err = run_cli(capsys, "index", "--store", str(tmp_path / "corpus.bin"))
+    assert code == 1
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == error
+    assert "'broken'" in diag["message"]
 
 
 def test_search_baseline_trec_output(fixtures_dir, capsys):
@@ -342,7 +361,8 @@ def test_eval_online_uses_tool_config_endpoints(fixtures_dir, tmp_path, mock_api
     write_online_bench_cfg(tmp_path / "bench.cfg", fixtures_dir)
     tool = tmp_path / "tool.cfg"
     tool.write_text(f"embed_base_url = {mock_api.base_url}\n"
-                    f"chat_base_url = {mock_api.base_url}\n")
+                    f"chat_base_url = {mock_api.base_url}\n"
+                    "chat_model = fixture-llm\n")  # the benchmark's model
     code, out, _ = run_cli(
         capsys, "eval", "--config", str(tmp_path / "bench.cfg"),
         "--tool-config", str(tool),
@@ -358,7 +378,8 @@ def test_trajectory_online_uses_tool_config_endpoints(fixtures_dir, tmp_path, mo
     write_online_bench_cfg(tmp_path / "bench.cfg", fixtures_dir)
     tool = tmp_path / "tool.cfg"
     tool.write_text(f"embed_base_url = {mock_api.base_url}\n"
-                    f"chat_base_url = {mock_api.base_url}\n")
+                    f"chat_base_url = {mock_api.base_url}\n"
+                    "chat_model = fixture-llm\n")  # the benchmark's model
     code, out, _ = run_cli(
         capsys, "trajectory", "--config", str(tmp_path / "bench.cfg"),
         "--tool-config", str(tool),
@@ -368,6 +389,56 @@ def test_trajectory_online_uses_tool_config_endpoints(fixtures_dir, tmp_path, mo
     assert mock_api.request_count("/v1/embeddings") > 0
     for ext in (".csv", ".json", ".svg"):
         assert (tmp_path / ("traj" + ext)).exists()
+
+
+def write_online_eval_cfg(path, fixtures_dir, cache, model):
+    path.write_text(
+        f"corpus_store = {fixtures_dir / 'corpus.emb.jsonl'}\n"
+        f"queries = {fixtures_dir / 'queries.jsonl'}\n"
+        f"qrels = {fixtures_dir / 'qrels.txt'}\n"
+        f"cache = {cache}\n"
+        "systems = baseline, deo\n"
+        "metrics = ndcg@10\n"
+        "offline = false\n"
+        f"model = {model}\n"
+    )
+
+
+def test_online_eval_honours_tool_config_max_subqueries(fixtures_dir, tmp_path, mock_api,
+                                                        capsys):
+    mock_api.embed_dim = 8
+    mock_api.chat_default = '{"positives": ["p one", "p two", "p three"], "negatives": ["n"]}'
+    cache = tmp_path / "cache.jsonl"
+    write_online_eval_cfg(tmp_path / "bench.cfg", fixtures_dir, cache, "mock-llm")
+    tool = write_tool_cfg(tmp_path, mock_api, extra="max_subqueries = 1\n")
+    code, _, err = run_cli(capsys, "eval", "--config", str(tmp_path / "bench.cfg"),
+                           "--tool-config", str(tool))
+    assert code == 0, err
+    rows = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert len(rows) == 5
+    assert all(row["positives"] == ["p one"] for row in rows)
+
+
+def test_online_eval_rejects_model_other_than_chat_model(fixtures_dir, tmp_path, mock_api,
+                                                         capsys):
+    # entries would be cached under m1 and looked up under other, so every
+    # run would pay for every query again
+    mock_api.embed_dim = 8
+    write_online_eval_cfg(tmp_path / "bench.cfg", fixtures_dir, tmp_path / "cache.jsonl",
+                          "other")
+    tool = tmp_path / "tool.cfg"
+    tool.write_text(f"chat_base_url = {mock_api.base_url}\n"
+                    f"embed_base_url = {mock_api.base_url}\n"
+                    "chat_model = m1\n")
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "eval", "--config", str(tmp_path / "bench.cfg"),
+                                 "--tool-config", str(tool))
+        assert code == 1
+        (line,) = err.strip().splitlines()
+        diag = json.loads(line)
+        assert diag["error"] == "ConfigError"
+        assert "'other'" in diag["message"] and "'m1'" in diag["message"]
+    assert mock_api.request_count() == 0
 
 
 # -- decompose / ingest over the mock endpoint --------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deo.errors import (
     DimensionMismatchError,
@@ -9,7 +11,8 @@ from deo.errors import (
     EmptyInputError,
     ZeroVectorError,
 )
-from deo.index import FlatIndex, RankedList, fuse_mean, rrf_fuse, write_trec_run
+from deo.index import SEARCH_BLOCK, FlatIndex, RankedList, fuse_mean, rrf_fuse, write_trec_run
+from deo.vecmath import l2_normalize
 
 
 def build_random_index(rng, n, d):
@@ -98,6 +101,100 @@ def test_search_matches_brute_force():
         assert list(index.search(query, k).doc_ids) == brute_force_topk(
             ids, vectors, query, k
         )
+
+
+def test_build_errors_name_the_doc():
+    with pytest.raises(ZeroVectorError, match="'b'"):
+        FlatIndex.build([("a", [1.0, 0.0]), ("b", [0.0, 0.0])])
+    with pytest.raises(ValueError, match="'c'"):
+        FlatIndex.from_matrix(["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]])
+    with pytest.raises(DuplicateIdError, match="'a'"):
+        FlatIndex.from_matrix(["a", "b", "a"], np.eye(3))
+    with pytest.raises(DimensionMismatchError):
+        FlatIndex.from_matrix(["a", "b"], np.eye(3))
+
+
+def test_from_matrix_matches_build():
+    rng = np.random.default_rng(6)
+    vectors = rng.normal(size=(40, 7)).astype(np.float32)
+    ids = [f"d{i}" for i in rng.permutation(40)]
+    a = FlatIndex.from_matrix(ids, vectors)
+    b = FlatIndex.build(zip(ids, vectors))
+    assert a.doc_ids == b.doc_ids
+    assert np.array_equal(a.unit_vectors(), b.unit_vectors())
+    # each row has the bits l2_normalize gives it on its own
+    for i, row in enumerate(vectors):
+        assert np.array_equal(a.unit_vectors()[i], l2_normalize(row))
+
+
+def _exact_results(results):
+    return [(r.doc_ids, r.scores) for r in results]
+
+
+@st.composite
+def corpus_and_queries(draw):
+    """A corpus with exact duplicate rows under shuffled ids, and a batch of
+    queries, some of them copies of corpus rows (so ties reach the top)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 40))
+    batch = draw(st.sampled_from([1, 2, SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1,
+                                  2 * SEARCH_BLOCK + 2]))
+    k = draw(st.integers(1, n + 3))
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, d))
+    duplicates = rng.integers(0, n, size=n // 3)
+    # scaled by a power of two, a copy normalizes to the very same unit row
+    vectors[rng.integers(0, n, size=n // 3)] = vectors[duplicates] * 2.0 ** rng.integers(-2, 3)
+    ids = [f"doc{i:04d}" for i in rng.permutation(n)]
+    queries = rng.normal(size=(batch, d))
+    copied = rng.random(batch) < 0.3
+    queries[copied] = vectors[rng.integers(0, n, size=int(copied.sum()))]
+    return ids, vectors, queries, k
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(corpus_and_queries())
+@example((["b", "a", "c"], np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
+          np.array([[1.0, 0.1]]), 3))
+def test_search_many_equals_single_searches(case):
+    ids, vectors, queries, k = case
+    index = FlatIndex.build(zip(ids, vectors))
+    batched = index.search_many(queries, k)
+    assert len(batched) == len(queries)
+    # bit for bit: same ids, same float scores, alone or in any batch
+    assert _exact_results(batched) == _exact_results(index.search(q, k) for q in queries)
+    for query, result in zip(queries, batched):
+        assert list(result.doc_ids) == brute_force_topk(ids, vectors, query, k)
+        assert len(result) == min(k, len(ids))
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.integers(0, 2**32 - 1))
+def test_search_many_ignores_batch_order(seed):
+    rng = np.random.default_rng(seed)
+    n, d = 300, 24  # 300 rows leave a partial BLAS tile at the corpus edge
+    index = FlatIndex.build(zip([f"d{i}" for i in range(n)], rng.normal(size=(n, d))))
+    queries = rng.normal(size=(2 * SEARCH_BLOCK + 5, d))
+    perm = rng.permutation(len(queries))
+    forward = _exact_results(index.search_many(queries, 10))
+    shuffled = _exact_results(index.search_many(queries[perm], 10))
+    assert [forward[i] for i in perm] == shuffled
+
+
+def test_search_many_consumes_queries_lazily():
+    index = FlatIndex.build([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+    produced = []
+
+    def queries():
+        for q in ([1.0, 0.0], [0.0, 0.0], [0.0, 1.0]):
+            produced.append(q)
+            yield q
+
+    with pytest.raises(ZeroVectorError):
+        index.search_many(queries(), 1)
+    assert len(produced) == 2  # stopped at the first bad query
+    assert index.search_many([], 3) == []
 
 
 def test_search_scale_invariant():

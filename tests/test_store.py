@@ -50,6 +50,24 @@ def test_add_and_get_roundtrip_float32():
     assert np.array_equal(got, np.array([0.1, 0.2, 0.3], dtype=np.float32).astype(np.float64))
 
 
+def test_matrix_is_one_contiguous_array(tmp_path):
+    rng = np.random.default_rng(7)
+    store = random_store(rng, n=11, dim=5)
+    save_store(store, tmp_path / "s.bin", fmt="binary")
+    for candidate in (store, load_store(tmp_path / "s.bin")):
+        matrix = candidate.matrix
+        assert matrix.shape == (11, 5)
+        assert matrix.dtype == np.float32 and matrix.flags.c_contiguous
+        assert not matrix.flags.writeable
+        for i, record_id in enumerate(candidate.ids):
+            assert np.array_equal(matrix[i].astype(np.float64), candidate.get(record_id))
+    loaded = load_store(tmp_path / "s.bin")
+    loaded.add("extra", np.ones(5))
+    assert loaded.matrix.shape == (12, 5)
+    assert np.array_equal(loaded.get("extra"), np.ones(5))
+    assert np.array_equal(loaded.matrix[:11], store.matrix)
+
+
 def test_add_validates():
     store = EmbeddingStore(dim=2)
     store.add("a", [1.0, 2.0])
