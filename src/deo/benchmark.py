@@ -345,10 +345,9 @@ class _BenchmarkRunner:
         )
 
     def _check_qrels(self) -> None:
-        known = set(self.index.doc_ids)
         for query_id, judgments in self.qrels.items():
             for doc_id, rel in judgments.items():
-                if rel > 0 and doc_id not in known:
+                if rel > 0 and doc_id not in self.index:
                     raise FormatError(
                         f"qrels references doc {doc_id!r} (query {query_id!r}) "
                         "that is not in the corpus store"
@@ -399,7 +398,8 @@ class _BenchmarkRunner:
             qid for qid in query_ids
             if not any(rel > 0 for rel in self.qrels.get(qid, {}).values())
         ]
-        scored_ids = [qid for qid in query_ids if qid not in set(flagged)]
+        unjudged = set(flagged)
+        scored_ids = [qid for qid in query_ids if qid not in unjudged]
 
         per_query: dict = {}
         aggregates: dict = {}

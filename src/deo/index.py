@@ -1,10 +1,12 @@
 """Exact cosine retrieval over an in-memory corpus, plus rank fusion.
 
-Document vectors are unit-normalized once at build time. Queries are scored
-in blocks of SEARCH_BLOCK rows, one matrix product per block against the
-whole corpus; that product only picks candidates, whose final scores are
-recomputed one query at a time, so a query ranks the same alone or in any
-batch. Ties are broken by ascending doc id to keep every ranking
+The index keeps the corpus vectors as it is given them, float32 or float64,
+plus one float64 norm per row; a read-only float32 matrix such as
+EmbeddingStore.matrix is used in place. Queries are scored in blocks of
+SEARCH_BLOCK rows, one matrix product in the corpus dtype per block against
+the whole corpus; that product only picks candidates, whose final scores are
+recomputed in float64 one query at a time, so a query ranks the same alone
+or in any batch. Ties are broken by ascending doc id to keep every ranking
 deterministic.
 """
 
@@ -19,6 +21,11 @@ from .vecmath import ZERO_NORM_EPS, as_vector, l2_normalize
 
 # Queries scored per matrix product in FlatIndex.search_many.
 SEARCH_BLOCK = 64
+# Rows whose norms FlatIndex.from_matrix computes per stacked product.
+NORM_CHUNK = 1024
+# A float32 corpus with a row norm above this is screened in float64, because
+# a float32 product of that row with a unit query could overflow.
+FLOAT32_SCREEN_MAX_NORM = float(np.finfo(np.float32).max) / 2
 
 
 @dataclass(frozen=True)
@@ -49,9 +56,10 @@ class RankedList:
 class FlatIndex:
     """Brute-force cosine index. Exact by construction, no ANN structures."""
 
-    def __init__(self, doc_ids: list[str], matrix: np.ndarray):
+    def __init__(self, doc_ids: list[str], matrix: np.ndarray, norms: np.ndarray):
         self._doc_ids = list(doc_ids)
-        self._matrix = matrix
+        self._matrix = matrix  # rows as given, float32 or float64
+        self._norms = norms  # float64 L2 norm of each row
         self._positions: dict[str, int] = {}
         for i, doc_id in enumerate(self._doc_ids):
             if self._positions.setdefault(doc_id, i) != i:
@@ -86,33 +94,50 @@ class FlatIndex:
     def from_matrix(cls, doc_ids, vectors) -> "FlatIndex":
         """Build from ids and an (n, d) matrix whose rows are their vectors.
 
-        Rows are unit-normalized with the same arithmetic as l2_normalize.
-        Duplicate ids raise DuplicateIdError, a NaN or Inf component
-        ValueError and a zero row ZeroVectorError, each naming the doc.
+        A read-only float32 ndarray (EmbeddingStore.matrix) is kept in place,
+        so it must not change afterwards; any other input is copied once, as
+        float32 if it is float32 and as float64 otherwise. Rows are scored as
+        if unit-normalized with the arithmetic of l2_normalize. Duplicate ids
+        raise DuplicateIdError, a NaN or Inf component (or a float64 norm that
+        overflows) ValueError and a zero row ZeroVectorError, each naming the
+        doc.
         """
         doc_ids = list(doc_ids)
         if not doc_ids:
             raise EmptyInputError("cannot build an index from zero documents")
-        unit = np.array(vectors, dtype=np.float64)
-        if unit.ndim != 2 or unit.shape[0] != len(doc_ids):
+        float32 = getattr(vectors, "dtype", None) == np.float32
+        if float32 and isinstance(vectors, np.ndarray) and not vectors.flags.writeable:
+            matrix = vectors
+        else:
+            matrix = np.array(vectors, dtype=np.float32 if float32 else np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(doc_ids):
             raise DimensionMismatchError(
-                f"expected an ({len(doc_ids)}, d) matrix, got shape {unit.shape}"
+                f"expected an ({len(doc_ids)}, d) matrix, got shape {matrix.shape}"
             )
-        finite = np.isfinite(unit).all(axis=1)
+        norms = np.empty(len(doc_ids))
+        for start in range(0, len(doc_ids), NORM_CHUNK):
+            rows = matrix[start : start + NORM_CHUNK].astype(np.float64, copy=False)
+            # a stack of row @ row, the dot product np.linalg.norm takes for
+            # one vector, so each row gets the norm l2_normalize would give it
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                squares = np.matmul(rows[:, None, :], rows[:, :, None])
+            norms[start : start + len(rows)] = squares[:, 0, 0]
+        np.sqrt(norms, out=norms)
+        # a NaN or Inf component makes its row's sum of squares NaN or Inf
+        finite = np.isfinite(norms)
         if not finite.all():
             doc_id = doc_ids[int(np.argmin(finite))]
-            raise ValueError(f"doc {doc_id!r} has NaN or Inf components")
-        # row @ row is the dot product np.linalg.norm takes for one vector, so
-        # each row gets the bits l2_normalize would give it
-        norms = np.sqrt(np.fromiter((row @ row for row in unit), np.float64, len(doc_ids)))
+            raise ValueError(f"doc {doc_id!r} has NaN or Inf components or an infinite norm")
         zero = norms <= ZERO_NORM_EPS
         if zero.any():
             pos = int(np.argmax(zero))
             raise ZeroVectorError(
                 f"doc {doc_ids[pos]!r} has norm {norms[pos]:g} and cannot be normalized"
             )
-        unit /= norms[:, None]
-        return cls(doc_ids, unit)
+        if matrix.dtype == np.float32 and norms.max() > FLOAT32_SCREEN_MAX_NORM:
+            # a float32 product with such a row could overflow; screen in float64
+            matrix = matrix.astype(np.float64)
+        return cls(doc_ids, matrix, norms)
 
     def __len__(self) -> int:
         return len(self._doc_ids)
@@ -129,16 +154,20 @@ class FlatIndex:
         return doc_id in self._positions
 
     def vector(self, doc_id: str) -> np.ndarray:
-        """Stored unit vector for doc_id."""
+        """Unit vector of doc_id, as l2_normalize gives it."""
         try:
             pos = self._positions[doc_id]
         except KeyError:
             raise KeyError(f"doc id {doc_id!r} not in index") from None
-        return self._matrix[pos].copy()
+        return self._unit_rows(pos)
 
     def unit_vectors(self) -> np.ndarray:
-        """Copy of the full (n, d) unit-vector matrix, row order = doc_ids."""
-        return self._matrix.copy()
+        """The full (n, d) float64 unit-vector matrix, row order = doc_ids."""
+        return self._unit_rows(slice(None))
+
+    def _unit_rows(self, rows) -> np.ndarray:
+        # float64 row divided by its norm: the bits l2_normalize gives a row
+        return self._matrix[rows].astype(np.float64, copy=False) / self._norms[rows, None]
 
     def search(self, query, k: int = 10) -> RankedList:
         """Top-k by cosine similarity; ties broken by ascending doc id."""
@@ -156,7 +185,9 @@ class FlatIndex:
         results: list[RankedList] = []
         for start in range(0, len(units), SEARCH_BLOCK):
             block = np.stack(units[start : start + SEARCH_BLOCK])
-            for q, scores in zip(block, block @ self._matrix.T):
+            screen = block.astype(self._matrix.dtype, copy=False) @ self._matrix.T
+            screen = screen / self._norms
+            for q, scores in zip(block, screen):
                 results.append(self._top_k(q, scores, k))
         return results
 
@@ -169,24 +200,24 @@ class FlatIndex:
         return q
 
     def _top_k(self, q: np.ndarray, approx: np.ndarray, k: int) -> RankedList:
-        # The block product's last bits depend on the block's shape and on
-        # the row's place in it (BLAS kernels differ at tile edges), so it
-        # only picks candidates: every doc within rounding error of the k-th
-        # best, which takes in all docs tied with it. Their scores are then
-        # recomputed from q alone, one fixed-order sum per doc, and sorted by
-        # (-score, id rank).
+        # The screen is computed in the corpus dtype, and its last bits depend
+        # on the block's shape and the row's place in it (BLAS kernels differ
+        # at tile edges), so it only picks candidates: every doc within
+        # rounding error of the k-th best, which takes in all docs tied with
+        # it. Their scores are then recomputed in float64 from q alone, one
+        # fixed-order sum per doc, and sorted by (-score, id rank).
         n = len(self._doc_ids)
         if k < n:
             kth = np.partition(approx, n - k)[n - k]
-            # Any two summation orders of d products of unit vectors differ
-            # by at most d * eps, so a true top-k doc lies at most 2 * d * eps
+            # Rounding q to the corpus dtype and summing d products in it
+            # puts a screened score at most about d * eps of that dtype from
+            # the exact cosine, so a true top-k doc lies at most 2 * d * eps
             # below kth; the slack doubles that.
-            slack = 4 * self.dim * np.finfo(np.float64).eps
+            slack = 4 * self.dim * np.finfo(self._matrix.dtype).eps
             candidates = np.flatnonzero(approx >= kth - slack)
-            rows = self._matrix[candidates]
         else:
-            candidates, rows = np.arange(n), self._matrix
-        scores = np.add.reduce(rows * q, axis=1)
+            candidates = np.arange(n)
+        scores = np.add.reduce(self._unit_rows(candidates) * q, axis=1)
         order = np.lexsort((self._id_rank[candidates], -scores))[:k]
         return RankedList(
             doc_ids=tuple(self._doc_ids[i] for i in candidates[order]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from deo.errors import (
     ZeroVectorError,
 )
 from deo.index import SEARCH_BLOCK, FlatIndex, RankedList, fuse_mean, rrf_fuse, write_trec_run
-from deo.vecmath import l2_normalize
+from deo.store import EmbeddingStore
+from deo.vecmath import ZERO_NORM_EPS, l2_normalize
 
 
 def build_random_index(rng, n, d):
@@ -108,6 +110,8 @@ def test_build_errors_name_the_doc():
         FlatIndex.build([("a", [1.0, 0.0]), ("b", [0.0, 0.0])])
     with pytest.raises(ValueError, match="'c'"):
         FlatIndex.from_matrix(["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]])
+    with pytest.raises(ValueError, match="'b'"):
+        FlatIndex.from_matrix(["a", "b"], [[1.0, 0.0], [1e200, 1e200]])  # norm overflows
     with pytest.raises(DuplicateIdError, match="'a'"):
         FlatIndex.from_matrix(["a", "b", "a"], np.eye(3))
     with pytest.raises(DimensionMismatchError):
@@ -195,6 +199,112 @@ def test_search_many_consumes_queries_lazily():
         index.search_many(queries(), 1)
     assert len(produced) == 2  # stopped at the first bad query
     assert index.search_many([], 3) == []
+
+
+def float64_oracle(ids, vectors, query, k):
+    """Float64 reference with no screening: every row normalized on its own by
+    l2_normalize, scored with one fixed-order sum, sorted by (-score, id)."""
+    units = np.stack([l2_normalize(row) for row in vectors])
+    scores = np.add.reduce(units * l2_normalize(query), axis=1).tolist()
+    ranked = sorted(zip(ids, scores), key=lambda pair: (-pair[1], pair[0]))[:k]
+    return tuple(doc_id for doc_id, _ in ranked), tuple(score for _, score in ranked)
+
+
+def read_only(matrix):
+    """The matrix as the CLI hands it over: a read-only float32 store view."""
+    matrix = np.array(matrix, dtype=np.float32)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def assert_ranks_like_oracle(ids, vectors, queries, k):
+    index = FlatIndex.from_matrix(ids, read_only(vectors))
+    batched = _exact_results(index.search_many(queries, k))
+    assert batched == _exact_results(index.search(q, k) for q in queries)
+    assert batched == [float64_oracle(ids, vectors, q, k) for q in queries]
+
+
+@st.composite
+def float32_corpus_and_queries(draw):
+    """A float32 corpus with exact duplicates and near-ties (copies one float32
+    ulp apart in one component) under shuffled ids, and a batch of queries,
+    some of them copies of corpus rows (so the ties reach the top)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 40))
+    batch = draw(st.sampled_from([1, SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1]))
+    k = draw(st.one_of(st.integers(1, 4), st.integers(1, n + 3)))
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, d)).astype(np.float32)
+    vectors[rng.integers(0, n, size=n // 4)] = vectors[rng.integers(0, n, size=n // 4)]
+    near = rng.integers(0, n, size=n // 3)
+    component = rng.integers(0, d, size=len(near))
+    copies = vectors[near]
+    copies[np.arange(len(near)), component] = np.nextafter(
+        copies[np.arange(len(near)), component], np.float32(np.inf))
+    vectors[rng.integers(0, n, size=len(near))] = copies
+    ids = [f"doc{i:04d}" for i in rng.permutation(n)]
+    queries = rng.normal(size=(batch, d))
+    copied = rng.random(batch) < 0.5
+    queries[copied] = vectors[rng.integers(0, n, size=int(copied.sum()))]
+    return ids, vectors, queries, k
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(float32_corpus_and_queries())
+def test_float32_search_matches_float64_oracle(case):
+    # the float32 screen only picks candidates: ids, float scores and tie
+    # order are those of an all-float64 brute force, alone or in any batch
+    assert_ranks_like_oracle(*case)
+
+
+@pytest.mark.parametrize("scale", ["near_float32_max", "just_above_zero_norm_eps"])
+def test_float32_extreme_norms_rank_like_oracle(scale):
+    rng = np.random.default_rng(8)
+    n, d = 150, 16
+    vectors = rng.normal(size=(n, d))
+    extreme = rng.permutation(n)[:50]
+    if scale == "near_float32_max":
+        # each component near float32's maximum, so the norm overflows float32
+        big = float(np.finfo(np.float32).max)
+        vectors[extreme] = np.sign(vectors[extreme]) * big * rng.uniform(0.5, 1.0, size=(50, d))
+    else:
+        units = vectors[extreme] / np.linalg.norm(vectors[extreme], axis=1, keepdims=True)
+        vectors[extreme] = units * ZERO_NORM_EPS * rng.uniform(1.5, 3.0, size=(50, 1))
+    vectors = vectors.astype(np.float32)
+    assert np.isfinite(vectors).all()
+    ids = [f"doc{i:04d}" for i in rng.permutation(n)]
+    queries = np.concatenate([rng.normal(size=(40, d)), vectors[extreme[:30]]])
+    for k in (1, 5, 60, n):
+        assert_ranks_like_oracle(ids, vectors, queries, k)
+
+
+def test_from_matrix_keeps_the_store_matrix_without_a_float64_copy():
+    rng = np.random.default_rng(9)
+    n, d = 8192, 256
+    store = EmbeddingStore(dim=d)
+    for i, row in enumerate(rng.normal(size=(n, d))):
+        store.add(f"doc{i:05d}", row)
+    tracemalloc.start()
+    try:
+        index = FlatIndex.from_matrix(store.ids, store.matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8 / 2
+    assert np.array_equal(index.vector("doc00007"), l2_normalize(store.get("doc00007")))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_from_matrix_copies_a_writable_matrix(dtype):
+    rng = np.random.default_rng(10)
+    vectors = rng.normal(size=(50, 8)).astype(dtype)
+    index = FlatIndex.from_matrix([f"d{i}" for i in range(50)], vectors)
+    queries = rng.normal(size=(5, 8))
+    results, units = _exact_results(index.search_many(queries, 7)), index.unit_vectors()
+    vectors[:] = rng.normal(size=(50, 8))
+    assert _exact_results(index.search_many(queries, 7)) == results
+    assert np.array_equal(index.unit_vectors(), units)
 
 
 def test_search_scale_invariant():
