@@ -9,7 +9,6 @@ cosine index with the result.
 from .analysis import TrajectoryExport, export_trajectory, render_svg
 from .benchmark import (
     BenchmarkConfig,
-    EmbeddingResolver,
     MetricReport,
     SweepConfig,
     run_benchmark,

@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import index as index_module
 from .analysis import TrajectoryExport, export_trajectory
 from .config import (
     OPTIMIZER_KEYS,
@@ -46,6 +47,7 @@ from .metrics import (
     Qrels,
     average_precision_at_k,
     load_qrels,
+    mean_over_queries,
     ndcg_at_k,
     recall_at_k,
 )
@@ -54,7 +56,7 @@ from .optimizer import (
     OptimizationConfig,
     optimize_query_embedding,
 )
-from .store import EmbeddingStore, load_store
+from .store import load_store
 from .vecmath import pca_fit
 
 KNOWN_SYSTEMS = ("baseline", "deo", "avg_only", "rrf_only")
@@ -178,38 +180,10 @@ class BenchmarkConfig:
         return cls(**kwargs)
 
 
-class EmbeddingResolver:
-    """Looks up embeddings by id or text from a store, else an endpoint.
-
-    Offline mode never touches the network; a miss raises
-    MissingEmbeddingError naming the text.
-    """
-
-    def __init__(self, store: EmbeddingStore | None = None, client=None, offline: bool = True):
-        self.store = store
-        self.client = client
-        self.offline = offline
-        self._memo: dict[str, np.ndarray] = {}
-
-    def resolve(self, text: str, record_id: str | None = None) -> np.ndarray:
-        if self.store is not None:
-            if record_id is not None and record_id in self.store:
-                return self.store.get(record_id)
-            if text in self.store:
-                return self.store.get(text)
-        if text in self._memo:
-            return self._memo[text].copy()
-        if self.client is not None and not self.offline:
-            vec = np.asarray(self.client.embed([text])[0], dtype=np.float64)
-            self._memo[text] = vec
-            return vec.copy()
-        label = record_id or text
-        raise MissingEmbeddingError(f"no embedding available for {label!r}")
-
-
 class QueryPipeline:
-    """The query side of DEO that every command shares: a query's
-    decomposition, then the embeddings of the query and its sub-queries.
+    """The query side of DEO that every command shares, from query text to
+    ranked list: a query's decomposition, the embeddings of the query and
+    its sub-queries, then the vectors each system searches with.
 
     Paths name the query embedding store and the decomposition cache ("" for
     none). A client of None keeps the run offline for that endpoint. `model`
@@ -227,13 +201,31 @@ class QueryPipeline:
                 f"model {model!r} differs from the chat client's model {client_model!r}; "
                 "decompositions made online could never be found in the cache"
             )
-        store = load_store(query_store) if query_store else None
-        self.resolver = EmbeddingResolver(store, embed_client, offline=embed_client is None)
+        self.store = load_store(query_store) if query_store else None
+        self.embed_client = embed_client
         self.cache = DecompositionCache(cache) if cache else None
         self.chat_client = chat_client
         self.model = model or client_model
         self.max_subqueries = max_subqueries
         self._decompositions: dict[str, DecomposedQuery] = {}
+        self._embedded: dict[str, np.ndarray] = {}  # texts embedded online
+
+    def _vector(self, text: str, record_id: str | None = None) -> np.ndarray:
+        """The embedding of record_id, else of text, from the query store;
+        else from the embedding endpoint, once per text; else (offline)
+        MissingEmbeddingError."""
+        store = self.store
+        if store is not None:
+            if record_id is not None and record_id in store:
+                return store.get(record_id)
+            if text in store:
+                return store.get(text)
+        if text not in self._embedded:
+            if self.embed_client is None:
+                raise MissingEmbeddingError(f"no embedding available for {record_id or text!r}")
+            self._embedded[text] = np.asarray(self.embed_client.embed([text])[0],
+                                              dtype=np.float64)
+        return self._embedded[text].copy()
 
     def decomposition(self, query_id: str, text: str) -> DecomposedQuery:
         """The query's decomposition, memoized by query id.
@@ -263,19 +255,62 @@ class QueryPipeline:
         self._decompositions[query_id] = entry
         return entry
 
-    def query_vector(self, query_id: str, text: str, by_id: bool = True) -> np.ndarray:
-        """Embedding of the query itself; by_id=False looks it up by text
-        only, for ad-hoc queries whose id is a placeholder."""
-        return self.resolver.resolve(text, record_id=query_id if by_id else None)
-
     def embeddings(self, query_id: str, text: str, by_id: bool = True) -> DecompositionEmbeddings:
-        """The query's decomposition, embedded: the optimizer's input."""
+        """The query's decomposition, embedded: the optimizer's input.
+        by_id=False looks the query itself up by text only, for ad-hoc
+        queries whose id is a placeholder."""
         entry = self.decomposition(query_id, text)
         return DecompositionEmbeddings.from_vectors(
-            self.query_vector(query_id, text, by_id),
-            [self.resolver.resolve(t) for t in entry.positives],
-            [self.resolver.resolve(t) for t in entry.negatives],
+            self._vector(text, query_id if by_id else None),
+            [self._vector(t) for t in entry.positives],
+            [self._vector(t) for t in entry.negatives],
         )
+
+    def rank(self, index: FlatIndex, system: str, queries, k: int,
+             optimizer: OptimizationConfig, by_id: bool = True):
+        """Yield (query_id, RankedList) for each (query_id, text) pair of
+        `queries`, in order, as `system` ranks it.
+
+        Queries go in blocks of index.SEARCH_BLOCK, one search_many call per
+        block, so a block's rankings are yielded together. Each query's
+        vectors are produced as search_many takes them, so a bad query raises
+        before later ones are resolved. baseline searches with the query
+        vector, deo with the optimized one, avg_only with the mean of the
+        query and sub-query vectors; rrf_only rank-fuses the rankings of
+        every sub-query vector, or searches with the query vector when there
+        are no sub-queries.
+        """
+        if system not in KNOWN_SYSTEMS:
+            raise ConfigError(f"unknown system {system!r}")
+        queries = list(queries)
+        for start in range(0, len(queries), index_module.SEARCH_BLOCK):
+            block = queries[start : start + index_module.SEARCH_BLOCK]
+            groups: list[tuple[int, bool]] = []  # per query: vectors, rank-fused?
+
+            def vectors():
+                for query_id, text in block:
+                    fused = False
+                    if system == "baseline":
+                        found = [self._vector(text, query_id if by_id else None)]
+                    else:
+                        inputs = self.embeddings(query_id, text, by_id)
+                        subs = [*inputs.positives, *inputs.negatives]
+                        if system == "deo":
+                            found = [optimize_query_embedding(inputs, optimizer)[0]]
+                        elif system == "avg_only":
+                            found = [fuse_mean([inputs.original, *subs])]
+                        elif subs:
+                            found, fused = subs, True
+                        else:
+                            # nothing to fuse; degrade to the plain query
+                            found = [inputs.original]
+                    groups.append((len(found), fused))
+                    yield from found
+
+            lists = iter(index.search_many(vectors(), k=k))
+            for (query_id, _), (count, fused) in zip(block, groups):
+                own = [next(lists) for _ in range(count)]
+                yield query_id, rrf_fuse(own, k=k, k_rrf=RRF_K) if fused else own[0]
 
 
 @dataclass(frozen=True)
@@ -319,12 +354,6 @@ class MetricReport:
         atomic_write_text(path, self.to_csv())
 
 
-def _mean(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
-
-
 class _BenchmarkRunner:
     """Holds loaded data so sweeps can rerun without reloading stores."""
 
@@ -353,43 +382,6 @@ class _BenchmarkRunner:
                         "that is not in the corpus store"
                     )
 
-    def _search_vectors(self, system: str, query_id: str, text: str) -> tuple[list, bool]:
-        """The vectors one system searches with for one query, and whether
-        their rankings are rank-fused (rrf_only) or used as they are."""
-        if system == "baseline":
-            return [self.pipeline.query_vector(query_id, text)], False
-        inputs = self.pipeline.embeddings(query_id, text)
-        if system == "deo":
-            final, _ = optimize_query_embedding(inputs, self.cfg.optimizer)
-            return [final], False
-        if system == "avg_only":
-            return [fuse_mean([inputs.original, *inputs.positives, *inputs.negatives])], False
-        if system == "rrf_only":
-            sub_vectors = [*inputs.positives, *inputs.negatives]
-            if not sub_vectors:
-                # nothing to fuse; degrade to the plain query
-                return [inputs.original], False
-            return sub_vectors, True
-        raise ConfigError(f"unknown system {system!r}")
-
-    def rank_queries(self, system: str, query_ids: list[str], depth: int) -> dict[str, RankedList]:
-        """Rank every query for one system with one search_many call."""
-        groups: list[tuple[int, bool]] = []
-
-        def vectors():
-            # lazy, so a bad query raises before later queries are resolved
-            for query_id in query_ids:
-                found, fused = self._search_vectors(system, query_id, self.queries[query_id])
-                groups.append((len(found), fused))
-                yield from found
-
-        lists = iter(self.index.search_many(vectors(), k=depth))
-        rankings: dict[str, RankedList] = {}
-        for query_id, (count, fused) in zip(query_ids, groups):
-            own = [next(lists) for _ in range(count)]
-            rankings[query_id] = rrf_fuse(own, k=depth, k_rrf=RRF_K) if fused else own[0]
-        return rankings
-
     def run(self) -> MetricReport:
         cfg = self.cfg
         depth = cfg.search_depth
@@ -405,7 +397,10 @@ class _BenchmarkRunner:
         aggregates: dict = {}
         rankings_by_system: dict[str, dict[str, RankedList]] = {}
         for system in cfg.systems:
-            rankings = self.rank_queries(system, query_ids, depth)
+            rankings = dict(self.pipeline.rank(
+                self.index, system, [(qid, self.queries[qid]) for qid in query_ids],
+                depth, cfg.optimizer,
+            ))
             rankings_by_system[system] = rankings
             per_query[system] = {}
             aggregates[system] = {}
@@ -415,7 +410,8 @@ class _BenchmarkRunner:
                     for qid in query_ids
                 }
                 per_query[system][metric] = values
-                aggregates[system][metric] = _mean([values[qid] for qid in scored_ids])
+                aggregates[system][metric] = mean_over_queries(
+                    {qid: values[qid] for qid in scored_ids})
 
         if cfg.run_dir:
             os.makedirs(cfg.run_dir, exist_ok=True)
@@ -524,12 +520,27 @@ class SweepConfig:
 
         if not os.path.isabs(out_csv) and out_csv:
             out_csv = os.path.normpath(os.path.join(base_dir, out_csv))
-        return cls(
+        sweep_cfg = cls(
             base=cfg,
             lambda_triples=tuple(triples),
             steps_list=tuple(steps_list),
             out_csv=out_csv,
         )
+        try:
+            sweep_cfg.grid()
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad sweep grid point: {exc}") from None
+        return sweep_cfg
+
+    def grid(self) -> list[OptimizationConfig]:
+        """The optimizer config of each grid point, lambda triples outer,
+        steps inner."""
+        return [
+            replace(self.base.optimizer, lambda_o=lambda_o, lambda_p=lambda_p,
+                    lambda_n=lambda_n, steps=steps)
+            for lambda_o, lambda_p, lambda_n in self.lambda_triples
+            for steps in self.steps_list
+        ]
 
 
 def sweep(cfg: SweepConfig, chat_client=None, embed_client=None,
@@ -549,22 +560,17 @@ def sweep(cfg: SweepConfig, chat_client=None, embed_client=None,
     writer.writerow(
         ["lambda_o", "lambda_p", "lambda_n", "steps", *cfg.base.metrics]
     )
-    for lambda_o, lambda_p, lambda_n in cfg.lambda_triples:
-        for steps in cfg.steps_list:
-            optimizer = replace(cfg.base.optimizer, lambda_o=lambda_o, lambda_p=lambda_p,
-                                lambda_n=lambda_n, steps=steps)
-            runner.cfg = replace(cfg.base, optimizer=optimizer, run_dir="")
-            report = runner.run()
-            reports.append(report)
-            writer.writerow(
-                [
-                    repr(lambda_o),
-                    repr(lambda_p),
-                    repr(lambda_n),
-                    steps,
-                    *(repr(report.aggregates["deo"][m]) for m in cfg.base.metrics),
-                ]
-            )
+    for optimizer in cfg.grid():
+        runner.cfg = replace(cfg.base, optimizer=optimizer, run_dir="")
+        report = runner.run()
+        reports.append(report)
+        writer.writerow([
+            repr(optimizer.lambda_o),
+            repr(optimizer.lambda_p),
+            repr(optimizer.lambda_n),
+            optimizer.steps,
+            *(repr(report.aggregates["deo"][m]) for m in cfg.base.metrics),
+        ])
     csv_text = buf.getvalue()
     if cfg.out_csv:
         atomic_write_text(cfg.out_csv, csv_text)

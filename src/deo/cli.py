@@ -113,11 +113,6 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _print_trec(query_id: str, ranking, run_tag: str) -> None:
-    for rank, (doc_id, score) in enumerate(ranking.items(), start=1):
-        print(f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}")
-
-
 def cmd_search(args) -> int:
     cfg = _tool_config(args)
     index = _load_index(args.store)
@@ -132,15 +127,12 @@ def cmd_search(args) -> int:
         queries = load_texts_jsonl(args.queries)
         by_id = True
 
-    run_tag = args.run_tag or ("deo" if args.deo else "baseline")
-    for query_id in sorted(queries):
-        text = queries[query_id]
-        if args.deo:
-            inputs = pipeline.embeddings(query_id, text, by_id)
-            embedding, _ = optimize_query_embedding(inputs, optimizer)
-        else:
-            embedding = pipeline.query_vector(query_id, text, by_id)
-        _print_trec(query_id, index.search(embedding, k=args.k), run_tag)
+    system = "deo" if args.deo else "baseline"
+    run_tag = args.run_tag or system
+    rankings = pipeline.rank(index, system, sorted(queries.items()), args.k, optimizer, by_id)
+    for query_id, ranking in rankings:
+        for rank, (doc_id, score) in enumerate(ranking.items(), start=1):
+            print(f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}")
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import EmptyQueryError, FormatError, ParseError
 from .ioutil import atomic_write_bytes, read_jsonl
@@ -210,11 +210,17 @@ class DecompositionCache:
         for lineno, obj in rows:
             if not isinstance(obj, dict) or "query" not in obj:
                 raise FormatError(f"{path}:{lineno}: bad cache line")
+            positives, negatives = obj.get("positives", []), obj.get("negatives", [])
+            for texts in (positives, negatives):
+                if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                    raise FormatError(
+                        f"{path}:{lineno}: 'positives' and 'negatives' must be lists of strings"
+                    )
             entry = DecomposedQuery(
                 query_id=str(obj.get("query_id", "")),
                 original=str(obj["query"]),
-                positives=tuple(obj.get("positives", [])),
-                negatives=tuple(obj.get("negatives", [])),
+                positives=tuple(positives),
+                negatives=tuple(negatives),
                 model=str(obj.get("model", "")),
             )
             key = (entry.original, entry.model)
@@ -296,16 +302,7 @@ def decompose_many(
             fresh = list(pool.map(work, ordered_texts))
         for text, entry in zip(ordered_texts, fresh):
             for i in misses[text]:
-                query_id = pairs[i][0]
-                results[i] = DecomposedQuery(
-                    query_id=query_id,
-                    original=entry.original,
-                    positives=entry.positives,
-                    negatives=entry.negatives,
-                    model=entry.model,
-                    latency_ms=entry.latency_ms,
-                    retries=entry.retries,
-                )
+                results[i] = replace(entry, query_id=pairs[i][0])
             if cache is not None:
                 cache.put(results[misses[text][0]], flush=False)
         if cache is not None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError, ZeroVectorError
+from .ioutil import atomic_write_text
 from .vecmath import ZERO_NORM_EPS, as_vector, l2_normalize
 
 # Queries scored per matrix product in FlatIndex.search_many.
@@ -260,8 +261,10 @@ def rrf_fuse(ranked_lists, k: int = 10, k_rrf: float = 60.0) -> RankedList:
 
 
 def write_trec_run(path, results: dict[str, RankedList], run_tag: str) -> None:
-    """Write rankings in six-column TREC run format, scores with 6 decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for query_id in sorted(results):
-            for rank, (doc_id, score) in enumerate(results[query_id].items(), start=1):
-                fh.write(f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n")
+    """Write rankings in six-column TREC run format, scores with 6 decimals,
+    atomically."""
+    atomic_write_text(path, "".join(
+        f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n"
+        for query_id in sorted(results)
+        for rank, (doc_id, score) in enumerate(results[query_id].items(), start=1)
+    ))

@@ -87,10 +87,6 @@ class EmbeddingStore:
             raise KeyError(f"id {record_id!r} not in store") from None
         return self._vectors[pos].astype(np.float64)
 
-    def items(self):
-        for record_id in self._ids:
-            yield record_id, self.get(record_id)
-
     # -- JSONL ---------------------------------------------------------
 
     def save_jsonl(self, path) -> None:
@@ -222,8 +218,9 @@ def save_store(store: EmbeddingStore, path, fmt: str = "jsonl") -> None:
         raise ValueError(f"unknown store format {fmt!r}")
 
 
-def embed_texts(client, texts: list[str], batch_size: int = 64) -> list[np.ndarray]:
-    """Embed texts through client.embed in batches, preserving order.
+def embed_texts(embed_fn, texts: list[str], batch_size: int = 64) -> list[np.ndarray]:
+    """Embed texts in batches through embed_fn, which takes a list of strings
+    and returns a list of vectors; the result keeps the input order.
 
     Dimension consistency is enforced across the whole call, not just within
     a batch, since a flaky endpoint can change models mid-stream.
@@ -236,13 +233,15 @@ def embed_texts(client, texts: list[str], batch_size: int = 64) -> list[np.ndarr
     dim: int | None = None
     for start in range(0, len(texts), batch_size):
         batch = texts[start : start + batch_size]
-        vectors = client.embed(batch)
+        vectors = embed_fn(batch)
         if len(vectors) != len(batch):
             raise FormatError(
                 f"endpoint returned {len(vectors)} vectors for {len(batch)} texts"
             )
         for vec in vectors:
             row = np.asarray(vec, dtype=np.float64)
+            if row.ndim != 1:
+                raise FormatError(f"endpoint returned a vector of shape {row.shape}")
             if dim is None:
                 dim = row.shape[0]
             elif row.shape[0] != dim:
@@ -291,30 +290,18 @@ def ingest_corpus(
                if existing is None or doc_id not in existing]
     reused = len(texts) - len(pending)
 
-    vectors: dict[str, np.ndarray] = {}
-    for start in range(0, len(pending), batch_size):
-        batch = pending[start : start + batch_size]
-        embedded = embed_fn([text for _, text in batch])
-        if len(embedded) != len(batch):
-            raise FormatError(
-                f"embedder returned {len(embedded)} vectors for {len(batch)} texts"
-            )
-        for (doc_id, _), vec in zip(batch, embedded):
-            vectors[doc_id] = np.asarray(vec, dtype=np.float64)
-
+    vectors = embed_texts(embed_fn, [text for _, text in pending], batch_size) if pending else []
     if existing is not None:
         dim = existing.dim
     elif vectors:
-        dim = len(next(iter(vectors.values())))
+        dim = vectors[0].shape[0]
     else:
         raise FormatError("nothing to ingest and no existing store to reuse")
 
+    fresh = dict(zip((doc_id for doc_id, _ in pending), vectors))
     store = EmbeddingStore(dim=dim, model=model or (existing.model if existing else ""))
     for doc_id in texts:
-        if existing is not None and doc_id in existing:
-            store.add(doc_id, existing.get(doc_id))
-        else:
-            store.add(doc_id, vectors[doc_id])
+        store.add(doc_id, fresh[doc_id] if doc_id in fresh else existing.get(doc_id))
     if out_path is not None:
         save_store(store, out_path, fmt=fmt)
     report = IngestReport(

@@ -7,7 +7,7 @@ import pytest
 
 from deo.benchmark import (
     BenchmarkConfig,
-    EmbeddingResolver,
+    QueryPipeline,
     SweepConfig,
     parse_metric_spec,
     report_timestamp,
@@ -189,38 +189,45 @@ class CountingEmbedClient:
 
 
 def test_resolver_store_hits(tmp_path):
+    # the query store is searched by id first, then by text
     store = EmbeddingStore(dim=4)
-    store.add("q1", [1.0, 0.0, 0.0, 0.0])
-    store.add("some text", [0.0, 1.0, 0.0, 0.0])
-    resolver = EmbeddingResolver(store=store, offline=True)
-    np.testing.assert_array_equal(resolver.resolve("unused", record_id="q1"),
-                                  [1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(resolver.resolve("some text"), [0.0, 1.0, 0.0, 0.0])
+    store.add("q1", DOCS["d_gamma"])
+    store.add("some text", DOCS["d_beta"])
+    store.save_jsonl(tmp_path / "q.emb.jsonl")
+    pipeline = QueryPipeline(str(tmp_path / "q.emb.jsonl"))
+    index = FlatIndex.build(DOCS.items())
+    rankings = dict(pipeline.rank(index, "baseline", [("q1", "some text"), ("q2", "some text")],
+                                  1, OptimizationConfig()))
+    assert rankings["q1"].doc_ids == ("d_gamma",)
+    assert rankings["q2"].doc_ids == ("d_beta",)
+    np.testing.assert_array_equal(pipeline._vector("unused", record_id="q1"), DOCS["d_gamma"])
 
 
 def test_resolver_offline_miss_names_text():
-    resolver = EmbeddingResolver(store=None, offline=True)
+    pipeline = QueryPipeline()
     with pytest.raises(MissingEmbeddingError, match="mystery"):
-        resolver.resolve("mystery")
+        pipeline._vector("mystery")
 
 
 def test_resolver_online_memoizes():
     client = CountingEmbedClient()
-    resolver = EmbeddingResolver(store=None, client=client, offline=False)
-    v1 = resolver.resolve("t")
-    v2 = resolver.resolve("t")
+    pipeline = QueryPipeline(embed_client=client)
+    v1 = pipeline._vector("t")
+    v2 = pipeline._vector("t")
     np.testing.assert_array_equal(v1, v2)
     assert client.calls == 1
     # returned arrays are copies; mutating one must not poison the memo
     v1[0] = 99.0
-    np.testing.assert_array_equal(resolver.resolve("t"), v2)
+    np.testing.assert_array_equal(pipeline._vector("t"), v2)
 
 
-def test_resolver_offline_ignores_client():
+def test_resolver_offline_ignores_client(tmp_path):
+    # an offline benchmark never hands its pipeline the embedding client
+    cfg = build_env(tmp_path, systems="baseline")
+    EmbeddingStore(dim=4).save_jsonl(tmp_path / "queries.emb.jsonl")
     client = CountingEmbedClient()
-    resolver = EmbeddingResolver(store=None, client=client, offline=True)
     with pytest.raises(MissingEmbeddingError):
-        resolver.resolve("t")
+        run_benchmark(cfg, embed_client=client)
     assert client.calls == 0
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from deo import index
 from deo.cli import main
 from deo.config import parse_flat_config
 from deo.store import EmbeddingStore, load_store, save_store
@@ -142,17 +143,64 @@ def test_search_baseline_trec_output(fixtures_dir, capsys):
     assert scores == sorted(scores, reverse=True)
 
 
+def search_deo_argv(fixtures_dir, cache):
+    return ["search", "--store", str(fixtures_dir / "corpus.emb.jsonl"),
+            "--query-store", str(fixtures_dir / "queries.emb.jsonl"),
+            "--queries", str(fixtures_dir / "queries.jsonl"),
+            "--cache", str(cache), "--deo", "--offline", "--k", "20"]
+
+
 def test_search_deo_matches_golden_run(fixtures_dir, capsys):
-    code, out, _ = run_cli(
-        capsys, "search", "--store", str(fixtures_dir / "corpus.emb.jsonl"),
-        "--query-store", str(fixtures_dir / "queries.emb.jsonl"),
-        "--queries", str(fixtures_dir / "queries.jsonl"),
-        "--cache", str(fixtures_dir / "cache.jsonl"),
-        "--deo", "--offline", "--k", "20",
-    )
+    code, out, _ = run_cli(capsys, *search_deo_argv(fixtures_dir, fixtures_dir / "cache.jsonl"))
     assert code == 0
     # eval's deo run, every query: search and eval share one query pipeline
     assert out == (fixtures_dir / "golden" / "runs" / "deo.run").read_text()
+
+
+@pytest.mark.parametrize("block", [1, 2, index.SEARCH_BLOCK])
+def test_outputs_do_not_depend_on_search_block(fixtures_dir, tmp_path, monkeypatch, capsys,
+                                               block):
+    # search prints a block of queries at a time and eval ranks its queries
+    # in blocks: neither output may change with the block size
+    monkeypatch.setattr(index, "SEARCH_BLOCK", block)
+    golden = fixtures_dir / "golden" / "runs"
+    code, out, _ = run_cli(capsys, *search_deo_argv(fixtures_dir, fixtures_dir / "cache.jsonl"))
+    assert code == 0
+    assert out == (golden / "deo.run").read_text()
+    code, _, _ = run_cli(capsys, "eval", "--config", str(fixtures_dir / "bench.cfg"),
+                         "--run-dir", str(tmp_path / "runs"))
+    assert code == 0
+    for run in ("baseline", "deo", "avg_only", "rrf_only"):
+        assert (tmp_path / "runs" / f"{run}.run").read_bytes() == (golden / f"{run}.run").read_bytes()
+
+
+def test_search_keeps_earlier_blocks_when_a_later_query_fails(fixtures_dir, tmp_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.setattr(index, "SEARCH_BLOCK", 2)
+    cache = tmp_path / "cache.jsonl"
+    rows = (fixtures_dir / "cache.jsonl").read_text().splitlines()
+    cache.write_text("".join(row + "\n" for row in rows if json.loads(row)["query_id"] != "q3"))
+    code, out, err = run_cli(capsys, *search_deo_argv(fixtures_dir, cache))
+    assert code == 1
+    golden = (fixtures_dir / "golden" / "runs" / "deo.run").read_text().splitlines(keepends=True)
+    assert out == "".join(line for line in golden if line.split()[0] in ("q1", "q2"))
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == "MissingDecompositionError"
+
+
+@pytest.mark.parametrize("positives", [5, "abc"])
+def test_search_rejects_malformed_cache_line(fixtures_dir, tmp_path, capsys, positives):
+    cache = tmp_path / "cache.jsonl"
+    rows = (fixtures_dir / "cache.jsonl").read_text().splitlines()
+    bad = dict(json.loads(rows[1]), positives=positives)
+    cache.write_text("".join(row + "\n" for row in [rows[0], json.dumps(bad), *rows[2:]]))
+    code, out, err = run_cli(capsys, *search_deo_argv(fixtures_dir, cache))
+    assert code == 1
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "FormatError"
+    assert f"{cache}:2:" in diag["message"] and "lists of strings" in diag["message"]
 
 
 def test_search_single_query_resolves_by_text(fixtures_dir, capsys):
@@ -250,6 +298,22 @@ def test_sweep_without_out_prints_csv(fixtures_dir, capsys):
     code, out, _ = run_cli(capsys, "sweep", "--config", str(fixtures_dir / "sweep.cfg"))
     assert code == 0
     assert out == (fixtures_dir / "golden" / "sweep.csv").read_text()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("steps_list", "0, 20, -1", "steps must be >= 0"),
+    ("lambdas", "0.2:1:1; -1:1:1", "lambda weights must be non-negative"),
+])
+def test_sweep_bad_grid_value_fails_before_running(fixtures_dir, tmp_path, capsys,
+                                                   key, value, message):
+    cfg = tmp_path / "sweep.cfg"
+    write_bench_cfg(cfg, fixtures_dir, **{key: value})
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    diag = json.loads(err.strip())
+    assert diag["error"] == "ConfigError"
+    assert str(cfg) in diag["message"] and message in diag["message"]
 
 
 def test_trajectory_reproduces_goldens(fixtures_dir, tmp_path, capsys):

@@ -199,8 +199,8 @@ def test_text_and_binary_stores_search_identically(tmp_path):
     bin_path = tmp_path / "s.bin"
     store.save_jsonl(jsonl_path)
     store.save_binary(bin_path)
-    index_a = FlatIndex.build(load_store(jsonl_path).items())
-    index_b = FlatIndex.build(load_store(bin_path).items())
+    stores = load_store(jsonl_path), load_store(bin_path)
+    index_a, index_b = (FlatIndex.from_matrix(s.ids, s.matrix) for s in stores)
     for _ in range(5):
         q = rng.normal(size=6)
         ra, rb = index_a.search(q, 10), index_b.search(q, 10)
@@ -211,7 +211,7 @@ def test_text_and_binary_stores_search_identically(tmp_path):
 def test_embed_texts_batching_and_order():
     embedder = CountingEmbedder()
     texts = [f"text {i}" for i in range(130)]
-    vectors = embed_texts(embedder, texts, batch_size=64)
+    vectors = embed_texts(embedder.embed, texts, batch_size=64)
     assert len(embedder.batches) == 3
     assert [len(b) for b in embedder.batches] == [64, 64, 2]
     assert len(vectors) == 130
@@ -223,9 +223,11 @@ def test_embed_texts_batching_and_order():
 def test_embed_texts_validation():
     embedder = CountingEmbedder()
     with pytest.raises(EmptyInputError):
-        embed_texts(embedder, [])
+        embed_texts(embedder.embed, [])
     with pytest.raises(ValueError):
-        embed_texts(embedder, ["a"], batch_size=0)
+        embed_texts(embedder.embed, ["a"], batch_size=0)
+    with pytest.raises(FormatError, match="shape"):
+        embed_texts(lambda texts: [5.0], ["a"])
 
 
 def test_embed_texts_dimension_consistency():
@@ -239,7 +241,7 @@ def test_embed_texts_dimension_consistency():
             return [[0.0] * dim for _ in texts]
 
     with pytest.raises(DimensionMismatchError):
-        embed_texts(Flaky(), ["a", "b"], batch_size=1)
+        embed_texts(Flaky().embed, ["a", "b"], batch_size=1)
 
 
 def test_ingest_corpus_happy_path(tmp_path):
@@ -287,3 +289,11 @@ def test_ingest_corpus_embedder_count_mismatch(tmp_path):
 
     with pytest.raises(FormatError):
         ingest_corpus({"a": "x", "b": "y"}, broken, tmp_path / "s.jsonl", batch_size=2)
+
+
+def test_ingest_corpus_dimension_change_mid_stream(tmp_path):
+    batches = iter([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]])
+    with pytest.raises(DimensionMismatchError, match="dimension 3 after 2"):
+        ingest_corpus({"a": "x", "b": "y"}, lambda texts: next(batches),
+                      tmp_path / "s.jsonl", batch_size=1)
+    assert not (tmp_path / "s.jsonl").exists()
