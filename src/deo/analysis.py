@@ -44,14 +44,10 @@ class TrajectoryExport:
 
 def _best_gold_rank(index: FlatIndex, query: np.ndarray, gold_ids) -> int:
     ranking = index.search(query, k=len(index))
-    best = None
-    for gold in gold_ids:
-        rank = ranking.rank_of(gold)
-        if rank is not None and (best is None or rank < best):
-            best = rank
-    if best is None:
+    ranks = [rank for rank in map(ranking.rank_of, gold_ids) if rank is not None]
+    if not ranks:
         raise MissingGoldError("no gold document retrieved from the index")
-    return best
+    return min(ranks)
 
 
 def export_trajectory(
@@ -116,15 +112,8 @@ def trajectory_csv(export: TrajectoryExport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["step", "x", "y", "loss"])
-    for step in range(export.num_snapshots):
-        writer.writerow(
-            [
-                step,
-                repr(float(export.steps_xy[step, 0])),
-                repr(float(export.steps_xy[step, 1])),
-                repr(float(export.losses[step])),
-            ]
-        )
+    for step, (x, y) in enumerate(export.steps_xy):
+        writer.writerow([step, repr(float(x)), repr(float(y)), repr(float(export.losses[step]))])
     return buf.getvalue()
 
 
@@ -178,23 +167,10 @@ def render_svg(
     gold stars.
     """
     margin = 48.0
-    xs: list[float] = []
-    ys: list[float] = []
-    for x, y in export.steps_xy:
-        xs.append(float(x))
-        ys.append(float(y))
-    for x, y in export.positives_xy:
-        xs.append(float(x))
-        ys.append(float(y))
-    for x, y in export.negatives_xy:
-        xs.append(float(x))
-        ys.append(float(y))
-    for _, x, y in export.gold_points:
-        xs.append(x)
-        ys.append(y)
-    for _, x, y in export.corpus_points:
-        xs.append(x)
-        ys.append(y)
+    points = [*export.steps_xy, *export.positives_xy, *export.negatives_xy,
+              *((x, y) for _, x, y in (*export.gold_points, *export.corpus_points))]
+    xs = [float(x) for x, _ in points]
+    ys = [float(y) for _, y in points]
     x_min, x_max = min(xs), max(xs)
     y_min, y_max = min(ys), max(ys)
     x_span = max(x_max - x_min, 1e-9)

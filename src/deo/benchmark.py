@@ -33,7 +33,7 @@ from .decomposer import (
     DEFAULT_MAX_SUBQUERIES,
     DecomposedQuery,
     DecompositionCache,
-    decompose,
+    decompose_many,
 )
 from .errors import (
     ConfigError,
@@ -56,7 +56,7 @@ from .optimizer import (
     OptimizationConfig,
     optimize_query_embedding,
 )
-from .store import load_store
+from .store import embed_texts, load_store
 from .vecmath import pca_fit
 
 KNOWN_SYSTEMS = ("baseline", "deo", "avg_only", "rrf_only")
@@ -166,10 +166,8 @@ class BenchmarkConfig:
                 kwargs[key] = parse_value(value, "int", key, path)
             elif key == "offline":
                 kwargs[key] = parse_value(value, "bool", key, path)
-            elif key == "systems":
-                kwargs[key] = tuple(s.strip() for s in value.split(",") if s.strip())
-            elif key == "metrics":
-                kwargs[key] = tuple(m.strip() for m in value.split(",") if m.strip())
+            elif key in ("systems", "metrics"):
+                kwargs[key] = tuple(item.strip() for item in value.split(",") if item.strip())
             elif key == "model":
                 kwargs[key] = value
             else:
@@ -192,7 +190,8 @@ class QueryPipeline:
 
     def __init__(self, query_store: str = "", cache: str = "", chat_client=None,
                  embed_client=None, model: str = "",
-                 max_subqueries: int = DEFAULT_MAX_SUBQUERIES):
+                 max_subqueries: int = DEFAULT_MAX_SUBQUERIES, batch_size: int = 64,
+                 concurrency: int = 4):
         client_model = getattr(chat_client, "model", "")
         if chat_client is not None and model and model != client_model:
             # fresh decompositions are cached under the client's model, so
@@ -207,47 +206,71 @@ class QueryPipeline:
         self.chat_client = chat_client
         self.model = model or client_model
         self.max_subqueries = max_subqueries
+        self.batch_size = batch_size
+        self.concurrency = concurrency
         self._decompositions: dict[str, DecomposedQuery] = {}
         self._embedded: dict[str, np.ndarray] = {}  # texts embedded online
 
+    def _store_key(self, text: str, record_id: str | None = None) -> str | None:
+        """The query-store id holding the vector of record_id, else of text."""
+        if self.store is not None:
+            for key in (record_id, text):
+                if key is not None and key in self.store:
+                    return key
+        return None
+
+    def _prefetch(self, queries, by_id: bool = True, subqueries: bool = True) -> None:
+        """Fetch what resolving the (query_id, text) pairs will read and the
+        store, cache and memos lack, many per request: decompositions (when
+        `subqueries`) through decompose_many at `concurrency`, then the query
+        and sub-query embeddings, once per text, in batches of `batch_size`.
+        Offline it does nothing; a query it cannot resolve fails later, in turn."""
+        if subqueries and self.chat_client is not None:
+            todo = [pair for pair in queries if pair[0] not in self._decompositions]
+            entries = decompose_many(todo, self.chat_client, self.cache, self.max_subqueries,
+                                     self.concurrency)
+            self._decompositions.update(zip((query_id for query_id, _ in todo), entries))
+        if self.embed_client is None:
+            return
+        texts = []
+        for query_id, text in queries:
+            if self._store_key(text, query_id if by_id else None) is None:
+                texts.append(text)
+            if subqueries:
+                try:
+                    entry = self.decomposition(query_id, text)
+                except MissingDecompositionError:
+                    continue
+                texts += [t for t in (*entry.positives, *entry.negatives)
+                          if self._store_key(t) is None]
+        misses = [text for text in dict.fromkeys(texts) if text not in self._embedded]
+        if misses:
+            vectors = embed_texts(self.embed_client.embed, misses, self.batch_size)
+            self._embedded.update(zip(misses, vectors))
+
     def _vector(self, text: str, record_id: str | None = None) -> np.ndarray:
         """The embedding of record_id, else of text, from the query store;
-        else from the embedding endpoint, once per text; else (offline)
-        MissingEmbeddingError."""
-        store = self.store
-        if store is not None:
-            if record_id is not None and record_id in store:
-                return store.get(record_id)
-            if text in store:
-                return store.get(text)
+        else the one _prefetch fetched for text; else MissingEmbeddingError."""
+        key = self._store_key(text, record_id)
+        if key is not None:
+            return self.store.get(key)
         if text not in self._embedded:
-            if self.embed_client is None:
-                raise MissingEmbeddingError(f"no embedding available for {record_id or text!r}")
-            self._embedded[text] = np.asarray(self.embed_client.embed([text])[0],
-                                              dtype=np.float64)
+            raise MissingEmbeddingError(f"no embedding available for {record_id or text!r}")
         return self._embedded[text].copy()
 
     def decomposition(self, query_id: str, text: str) -> DecomposedQuery:
         """The query's decomposition, memoized by query id.
 
         Cache rule: the (text, model) entry if there is one; else, when the
-        chat endpoint may be called, a fresh decomposition, which is cached;
+        chat endpoint may be called, the fresh one _prefetch made and cached;
         else (offline) the first cached entry for the text under any model
         (DecompositionCache.lookup); else MissingDecompositionError.
         """
         entry = self._decompositions.get(query_id)
-        if entry is not None:
-            return entry
-        cache = self.cache
-        entry = cache.get(text, self.model) if cache is not None else None
-        if entry is None:
-            if self.chat_client is not None:
-                entry = decompose(text, self.chat_client, query_id=query_id,
-                                  max_subqueries=self.max_subqueries)
-                if cache is not None:
-                    cache.put(entry)
-            elif cache is not None:
-                entry = cache.lookup(text)
+        if entry is None and self.cache is not None:
+            entry = self.cache.get(text, self.model)
+            if entry is None and self.chat_client is None:
+                entry = self.cache.lookup(text)
         if entry is None:
             raise MissingDecompositionError(
                 f"query {query_id!r} has no cached decomposition and the run is offline"
@@ -259,6 +282,10 @@ class QueryPipeline:
         """The query's decomposition, embedded: the optimizer's input.
         by_id=False looks the query itself up by text only, for ad-hoc
         queries whose id is a placeholder."""
+        self._prefetch([(query_id, text)], by_id)
+        return self._inputs(query_id, text, by_id)
+
+    def _inputs(self, query_id: str, text: str, by_id: bool) -> DecompositionEmbeddings:
         entry = self.decomposition(query_id, text)
         return DecompositionEmbeddings.from_vectors(
             self._vector(text, query_id if by_id else None),
@@ -271,6 +298,7 @@ class QueryPipeline:
         """Yield (query_id, RankedList) for each (query_id, text) pair of
         `queries`, in order, as `system` ranks it.
 
+        Online, the misses of all the queries are fetched first (_prefetch).
         Queries go in blocks of index.SEARCH_BLOCK, one search_many call per
         block, so a block's rankings are yielded together. Each query's
         vectors are produced as search_many takes them, so a bad query raises
@@ -283,6 +311,7 @@ class QueryPipeline:
         if system not in KNOWN_SYSTEMS:
             raise ConfigError(f"unknown system {system!r}")
         queries = list(queries)
+        self._prefetch(queries, by_id, subqueries=system != "baseline")
         for start in range(0, len(queries), index_module.SEARCH_BLOCK):
             block = queries[start : start + index_module.SEARCH_BLOCK]
             groups: list[tuple[int, bool]] = []  # per query: vectors, rank-fused?
@@ -293,7 +322,7 @@ class QueryPipeline:
                     if system == "baseline":
                         found = [self._vector(text, query_id if by_id else None)]
                     else:
-                        inputs = self.embeddings(query_id, text, by_id)
+                        inputs = self._inputs(query_id, text, by_id)
                         subs = [*inputs.positives, *inputs.negatives]
                         if system == "deo":
                             found = [optimize_query_embedding(inputs, optimizer)[0]]
@@ -357,8 +386,7 @@ class MetricReport:
 class _BenchmarkRunner:
     """Holds loaded data so sweeps can rerun without reloading stores."""
 
-    def __init__(self, cfg: BenchmarkConfig, chat_client=None, embed_client=None,
-                 max_subqueries: int = DEFAULT_MAX_SUBQUERIES):
+    def __init__(self, cfg: BenchmarkConfig, chat_client=None, embed_client=None, **options):
         self.cfg = cfg
         corpus = load_store(cfg.corpus_store)
         self.corpus_model = corpus.model
@@ -370,7 +398,7 @@ class _BenchmarkRunner:
         self.pipeline = QueryPipeline(
             cfg.query_store, cfg.cache,
             chat_client if online else None, embed_client if online else None,
-            model=cfg.model, max_subqueries=max_subqueries,
+            model=cfg.model, **options,
         )
 
     def _check_qrels(self) -> None:
@@ -435,21 +463,22 @@ class _BenchmarkRunner:
 
 
 def run_benchmark(cfg: BenchmarkConfig, chat_client=None, embed_client=None,
-                  max_subqueries: int = DEFAULT_MAX_SUBQUERIES) -> MetricReport:
+                  **options) -> MetricReport:
     """Evaluate every configured system and return the metric report.
 
     Writes TREC run files when cfg.run_dir is set; report files are the
     caller's job (the CLI handles them), keeping this function pure apart
-    from runs. max_subqueries caps the decompositions made online.
+    from runs. `options` are QueryPipeline's online limits: max_subqueries,
+    batch_size and concurrency.
     """
-    return _BenchmarkRunner(cfg, chat_client, embed_client, max_subqueries).run()
+    return _BenchmarkRunner(cfg, chat_client, embed_client, **options).run()
 
 
 def trajectory(cfg: BenchmarkConfig, query_id: str, chat_client=None,
-               embed_client=None, max_subqueries: int = DEFAULT_MAX_SUBQUERIES) -> TrajectoryExport:
+               embed_client=None, **options) -> TrajectoryExport:
     """Optimize one benchmark query and export its path, projected onto the
     corpus's first two principal components."""
-    runner = _BenchmarkRunner(cfg, chat_client, embed_client, max_subqueries)
+    runner = _BenchmarkRunner(cfg, chat_client, embed_client, **options)
     if query_id not in runner.queries:
         raise KeyError(f"query id {query_id!r} not in {cfg.queries}")
     inputs = runner.pipeline.embeddings(query_id, runner.queries[query_id])
@@ -486,37 +515,28 @@ class SweepConfig:
             path=path,
         )
 
-        triples: list[tuple[float, float, float]] = []
-        if lambdas_value:
-            for chunk in lambdas_value.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                parts = [p.strip() for p in chunk.split(":")]
-                if len(parts) != 3:
-                    raise ConfigError(
-                        f"{path}: lambda triple {chunk!r} must be lambda_o:lambda_p:lambda_n"
-                    )
-                try:
-                    triples.append((float(parts[0]), float(parts[1]), float(parts[2])))
-                except ValueError:
-                    raise ConfigError(f"{path}: non-numeric lambda in {chunk!r}") from None
+        triples: list[tuple[float, ...]] = []
+        for chunk in filter(None, (chunk.strip() for chunk in lambdas_value.split(";"))):
+            parts = chunk.split(":")
+            if len(parts) != 3:
+                raise ConfigError(
+                    f"{path}: lambda triple {chunk!r} must be lambda_o:lambda_p:lambda_n"
+                )
+            try:
+                triples.append(tuple(float(part) for part in parts))
+            except ValueError:
+                raise ConfigError(f"{path}: non-numeric lambda in {chunk!r}") from None
         if not triples:
             opt = cfg.optimizer
             triples = [(opt.lambda_o, opt.lambda_p, opt.lambda_n)]
 
         steps_list: list[int] = []
-        if steps_value:
-            for chunk in steps_value.split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                try:
-                    steps_list.append(int(chunk))
-                except ValueError:
-                    raise ConfigError(f"{path}: non-integer steps {chunk!r}") from None
-        if not steps_list:
-            steps_list = [cfg.optimizer.steps]
+        for chunk in filter(None, (chunk.strip() for chunk in steps_value.split(","))):
+            try:
+                steps_list.append(int(chunk))
+            except ValueError:
+                raise ConfigError(f"{path}: non-integer steps {chunk!r}") from None
+        steps_list = steps_list or [cfg.optimizer.steps]
 
         if not os.path.isabs(out_csv) and out_csv:
             out_csv = os.path.normpath(os.path.join(base_dir, out_csv))
@@ -544,7 +564,7 @@ class SweepConfig:
 
 
 def sweep(cfg: SweepConfig, chat_client=None, embed_client=None,
-          max_subqueries: int = DEFAULT_MAX_SUBQUERIES) -> tuple[list[MetricReport], str]:
+          **options) -> tuple[list[MetricReport], str]:
     """Run the benchmark once per grid point.
 
     Returns the reports (grid order: lambda triples outer, steps inner) and
@@ -553,7 +573,7 @@ def sweep(cfg: SweepConfig, chat_client=None, embed_client=None,
     """
     if "deo" not in cfg.base.systems:
         raise ConfigError("sweep requires the 'deo' system in the benchmark config")
-    runner = _BenchmarkRunner(cfg.base, chat_client, embed_client, max_subqueries)
+    runner = _BenchmarkRunner(cfg.base, chat_client, embed_client, **options)
     reports: list[MetricReport] = []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -62,6 +62,7 @@ def _pipeline(args, cfg: ToolConfig) -> benchmark.QueryPipeline:
         args.query_store or "", args.cache or "",
         _chat_client(cfg) if online else None, _embed_client(cfg) if online else None,
         model=cfg.chat_model, max_subqueries=cfg.max_subqueries,
+        batch_size=cfg.batch_size, concurrency=cfg.concurrency,
     )
 
 
@@ -167,13 +168,14 @@ def cmd_optimize(args) -> int:
 
 def _benchmark_endpoints(args, offline: bool) -> dict:
     """Keyword arguments for run_benchmark, sweep and trajectory: an online
-    benchmark's clients and decomposition limit, from --tool-config."""
+    benchmark's clients, decomposition limit and batching, from --tool-config."""
     if offline:
         return {}
     tool_cfg = (ToolConfig.from_file(args.tool_config)
                 if getattr(args, "tool_config", None) else ToolConfig())
     return {"chat_client": _chat_client(tool_cfg), "embed_client": _embed_client(tool_cfg),
-            "max_subqueries": tool_cfg.max_subqueries}
+            "max_subqueries": tool_cfg.max_subqueries, "batch_size": tool_cfg.batch_size,
+            "concurrency": tool_cfg.concurrency}
 
 
 def cmd_eval(args) -> int:

@@ -2,7 +2,8 @@
 
 Both speak the common OpenAI-compatible JSON shapes, so any conforming
 server (hosted or local) works. Transient failures (429, 5xx, connection
-errors) are retried with exponential backoff; anything that survives the
+errors) are retried with exponential backoff, or after the server's
+Retry-After on 429 and 503 when that is longer; anything that survives the
 retries surfaces as TransportError.
 """
 
@@ -51,6 +52,7 @@ def _post_with_retries(cfg: ClientConfig, path: str, payload: dict, sleep=time.s
     url = cfg.base_url.rstrip("/") + path
     last_error = ""
     for attempt in range(cfg.max_retries + 1):
+        asked = 0.0  # seconds the server's Retry-After asks for
         try:
             response = requests.post(
                 url, json=payload, headers=cfg.headers(), timeout=cfg.timeout
@@ -66,8 +68,13 @@ def _post_with_retries(cfg: ClientConfig, path: str, payload: dict, sleep=time.s
             last_error = f"HTTP {response.status_code}"
             if response.status_code not in RETRYABLE_STATUS:
                 raise TransportError(f"{url}: {last_error}: {response.text[:200]}")
+            if response.status_code in (429, 503):
+                try:
+                    asked = min(float(response.headers.get("Retry-After", "")), cfg.timeout)
+                except ValueError:  # absent, or an HTTP date
+                    pass
         if attempt < cfg.max_retries:
-            delay = cfg.backoff_base * (2.0**attempt)
+            delay = max(cfg.backoff_base * (2.0**attempt), asked)
             logger.warning("%s failed (%s); retry %d/%d in %.1fs",
                            url, last_error, attempt + 1, cfg.max_retries, delay)
             sleep(delay)

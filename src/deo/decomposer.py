@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -274,7 +275,9 @@ def decompose_many(
 
     Cache misses run through a bounded thread pool; each distinct (text,
     model) pair triggers at most one network call. Results come back in
-    input order and the cache is flushed once at the end.
+    input order and the cache is flushed once at the end. After a failure
+    no further call starts; the decompositions already made are cached, then
+    the first failure in input order is raised.
     """
     if concurrency <= 0:
         raise ValueError("concurrency must be positive")
@@ -291,20 +294,30 @@ def decompose_many(
 
     if misses:
         ordered_texts = list(misses)
+        failed = threading.Event()  # set by the first failure; later work is skipped
 
-        def work(text: str) -> DecomposedQuery:
-            first_index = misses[text][0]
-            return decompose(
-                text, client, query_id=pairs[first_index][0], max_subqueries=max_subqueries
-            )
+        def work(text: str) -> DecomposedQuery | None:
+            if failed.is_set():
+                return None
+            try:
+                return decompose(text, client, query_id=pairs[misses[text][0]][0],
+                                 max_subqueries=max_subqueries)
+            except BaseException:
+                failed.set()
+                raise
 
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            fresh = list(pool.map(work, ordered_texts))
-        for text, entry in zip(ordered_texts, fresh):
-            for i in misses[text]:
-                results[i] = replace(entry, query_id=pairs[i][0])
-            if cache is not None:
-                cache.put(results[misses[text][0]], flush=False)
+            futures = [pool.submit(work, text) for text in ordered_texts]
+        for text, future in zip(ordered_texts, futures):
+            entry = future.result() if future.exception() is None else None
+            if entry is not None:
+                for i in misses[text]:
+                    results[i] = replace(entry, query_id=pairs[i][0])
+                if cache is not None:
+                    cache.put(results[misses[text][0]], flush=False)
         if cache is not None:
             cache.flush()
+        for future in futures:
+            if future.exception() is not None:
+                raise future.exception()
     return [results[i] for i in range(len(pairs))]

@@ -58,8 +58,13 @@ def load_texts_jsonl(path) -> dict[str, str]:
     for lineno, obj in read_jsonl(path):
         if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
             raise FormatError(f"{path}:{lineno}: expected an object with 'id' and 'text'")
-        doc_id = str(obj["id"])
+        doc_id, text = obj["id"], obj["text"]
+        if (not isinstance(text, str) or isinstance(doc_id, bool)
+                or not isinstance(doc_id, (str, int))):
+            raise FormatError(f"{path}:{lineno}: 'id' must be a string or an integer "
+                              "and 'text' a string")
+        doc_id = str(doc_id)
         if doc_id in out:
             raise DuplicateIdError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-        out[doc_id] = str(obj["text"])
+        out[doc_id] = text
     return out

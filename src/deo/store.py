@@ -133,7 +133,13 @@ class EmbeddingStore:
                     f" does not match header dim {dim}"
                 )
             try:
-                store.add(str(obj["id"]), vector)
+                row = np.asarray(vector)
+            except ValueError:  # ragged nesting
+                row = None
+            if row is None or row.ndim != 1 or row.dtype.kind not in "iuf":
+                raise FormatError(f"{path}:{lineno}: vector components must be numbers")
+            try:
+                store.add(str(obj["id"]), row)
             except DuplicateIdError:
                 raise FormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}") from None
         return store

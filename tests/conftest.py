@@ -27,8 +27,10 @@ class MockApi:
     """Tiny in-process server speaking the chat and embeddings wire shapes.
 
     chat_script queues response strings (the default is a valid
-    decomposition); fail_statuses queues HTTP error codes emitted before
-    any success. Every request is recorded as (path, payload).
+    decomposition); fail_statuses queues HTTP error codes, one per request
+    (None lets that request through), and fail_headers are sent with each
+    of those failures. embed_vector(text, dim) makes each embedding. Every
+    request is recorded as (path, payload).
     """
 
     def __init__(self):
@@ -36,7 +38,9 @@ class MockApi:
         self.chat_script: list[str] = []
         self.chat_default = '{"positives": ["alpha"], "negatives": ["beta"]}'
         self.embed_dim = 6
-        self.fail_statuses: list[int] = []
+        self.fail_statuses: list[int | None] = []
+        self.fail_headers: dict[str, str] = {}
+        self.embed_vector = stable_unit_vector
         self._lock = threading.Lock()
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler_class())
         self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
@@ -60,8 +64,10 @@ class MockApi:
             def log_message(self, *args):
                 pass
 
-            def _send(self, status: int, body: bytes):
+            def _send(self, status: int, body: bytes, headers=()):
                 self.send_response(status)
+                for name, value in headers:
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
@@ -74,7 +80,8 @@ class MockApi:
                     api.requests.append((self.path, payload))
                     fail = api.fail_statuses.pop(0) if api.fail_statuses else None
                 if fail is not None:
-                    self._send(fail, b'{"error": "simulated failure"}')
+                    self._send(fail, b'{"error": "simulated failure"}',
+                               api.fail_headers.items())
                     return
                 if self.path == "/v1/chat/completions":
                     with api._lock:
@@ -83,7 +90,7 @@ class MockApi:
                 elif self.path == "/v1/embeddings":
                     body = {
                         "data": [
-                            {"embedding": stable_unit_vector(t, api.embed_dim).tolist()}
+                            {"embedding": api.embed_vector(t, api.embed_dim).tolist()}
                             for t in payload["input"]
                         ]
                     }

@@ -181,10 +181,12 @@ def test_report_timestamp_pinned(monkeypatch):
 class CountingEmbedClient:
     def __init__(self, dim=4):
         self.calls = 0
+        self.batches = []
         self.dim = dim
 
     def embed(self, texts):
         self.calls += 1
+        self.batches.append(list(texts))
         return [np.full(self.dim, 0.5) for _ in texts]
 
 
@@ -210,15 +212,36 @@ def test_resolver_offline_miss_names_text():
 
 
 def test_resolver_online_memoizes():
+    # a text is fetched once, however often it is prefetched or read
     client = CountingEmbedClient()
     pipeline = QueryPipeline(embed_client=client)
+    for _ in range(2):
+        pipeline._prefetch([("q1", "t"), ("q2", "t")], subqueries=False)
     v1 = pipeline._vector("t")
     v2 = pipeline._vector("t")
     np.testing.assert_array_equal(v1, v2)
-    assert client.calls == 1
+    assert client.batches == [["t"]]
     # returned arrays are copies; mutating one must not poison the memo
     v1[0] = 99.0
     np.testing.assert_array_equal(pipeline._vector("t"), v2)
+
+
+@pytest.mark.parametrize("by_id, fetched", [(True, ["new"]), (False, ["unknown", "new"])])
+def test_prefetch_fetches_what_the_store_lacks(tmp_path, by_id, fetched):
+    # the store is read by id (when by_id), then by text; only what it
+    # lacks goes to the endpoint, and a text shared by two queries once
+    store = EmbeddingStore(dim=4)
+    for key in ("q1", "alpha only", "alpha things"):
+        store.add(key, DOCS["d_gamma"])
+    store.save_jsonl(tmp_path / "q.emb.jsonl")
+    (tmp_path / "cache.jsonl").write_text(json.dumps(CACHE_ROWS[0]) + "\n")
+    client = CountingEmbedClient()
+    pipeline = QueryPipeline(str(tmp_path / "q.emb.jsonl"), str(tmp_path / "cache.jsonl"),
+                             embed_client=client, batch_size=2)
+    pipeline._prefetch([("q1", "unknown"), ("q2", "alpha only"), ("q3", "new"),
+                        ("q4", "new")], by_id, subqueries=False)
+    pipeline._prefetch([("q0", CACHE_ROWS[0]["query"])], by_id)
+    assert client.batches == [fetched, [CACHE_ROWS[0]["query"], "beta things"]]
 
 
 def test_resolver_offline_ignores_client(tmp_path):

@@ -8,6 +8,8 @@ from deo.cli import main
 from deo.config import parse_flat_config
 from deo.store import EmbeddingStore, load_store, save_store
 
+from conftest import stable_unit_vector
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -121,6 +123,52 @@ def test_index_names_the_bad_doc(tmp_path, capsys, bad, error):
     diag = json.loads(line)
     assert diag["error"] == error
     assert "'broken'" in diag["message"]
+
+
+@pytest.mark.parametrize("vector", [[1.0, "x"], [[1.0, 2.0], 3.0], [[1.0, 2.0], [3.0, 4.0]]])
+def test_index_names_the_line_of_a_bad_vector_component(tmp_path, capsys, vector):
+    path = tmp_path / "corpus.emb.jsonl"
+    path.write_text('{"format": "deo-emb", "version": 1, "dim": 2}\n'
+                    + json.dumps({"id": "a", "vector": vector}) + "\n")
+    code, out, err = run_cli(capsys, "index", "--store", str(path))
+    assert code == 1
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "FormatError"
+    assert f"{path}:2:" in diag["message"]
+
+
+@pytest.mark.parametrize("record", [
+    {"id": "q1", "text": ["a"]},
+    {"id": "q1", "text": 5},
+    {"id": True, "text": "a"},
+    {"id": 1.5, "text": "a"},
+    {"id": ["q1"], "text": "a"},
+])
+def test_search_rejects_a_query_line_that_is_not_id_and_text(fixtures_dir, tmp_path, capsys,
+                                                              record):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps({"id": "q0", "text": "fine"}) + "\n" + json.dumps(record) + "\n")
+    code, out, err = run_cli(capsys, "search", "--store", str(fixtures_dir / "corpus.emb.jsonl"),
+                             "--queries", str(queries), "--offline")
+    assert code == 1
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "FormatError"
+    assert f"{queries}:2:" in diag["message"]
+
+
+def test_integer_query_ids_are_read_as_strings(fixtures_dir, tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    text = json.loads((fixtures_dir / "queries.jsonl").read_text().splitlines()[0])["text"]
+    queries.write_text(json.dumps({"id": 7, "text": text}) + "\n")
+    code, out, err = run_cli(capsys, "search", "--store", str(fixtures_dir / "corpus.emb.jsonl"),
+                             "--query-store", str(fixtures_dir / "queries.emb.jsonl"),
+                             "--queries", str(queries), "--offline", "--k", "1")
+    assert code == 0, err
+    assert out.split()[0] == "7"
 
 
 def test_search_baseline_trec_output(fixtures_dir, capsys):
@@ -596,3 +644,94 @@ def test_preset_flag_changes_optimizer(fixtures_dir, capsys):
         assert code == 0
         outs[preset] = json.loads(out)["embedding"]
     assert outs["text"] != outs["multimodal"]
+
+
+# -- batched online resolution ------------------------------------------------
+
+
+def float32_unit_vector(text, dim):
+    # stores keep float32, so the endpoint serves float32 values too: the
+    # online and offline runs then search with the very same numbers
+    return stable_unit_vector(text, dim).astype(np.float32).astype(np.float64)
+
+
+def fixture_texts(fixtures_dir):
+    """Query texts in id order, then the distinct sub-query texts that are
+    not query texts, in cache order."""
+    rows = [json.loads(line) for line in (fixtures_dir / "queries.jsonl").read_text().splitlines()]
+    query_texts = [row["text"] for row in sorted(rows, key=lambda row: row["id"])]
+    subs = []
+    for line in (fixtures_dir / "cache.jsonl").read_text().splitlines():
+        row = json.loads(line)
+        subs += [t for t in row["positives"] + row["negatives"]
+                 if t not in query_texts and t not in subs]
+    return query_texts, subs
+
+
+def online_eval(capsys, fixtures_dir, tmp_path, api, batch_size):
+    cfg = tmp_path / "bench.cfg"
+    write_bench_cfg(cfg, fixtures_dir, query_store="", offline="false",
+                    cache=str(tmp_path / "cache.jsonl"), run_dir=str(tmp_path / "runs"))
+    (tmp_path / "cache.jsonl").write_bytes((fixtures_dir / "cache.jsonl").read_bytes())
+    tool = write_tool_cfg(tmp_path, api, extra=f"batch_size = {batch_size}\n")
+    tool.write_text(tool.read_text().replace("mock-llm", "fixture-llm"))
+    return run_cli(capsys, "eval", "--config", str(cfg), "--tool-config", str(tool))
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 64])
+def test_online_eval_fetches_misses_in_batches(fixtures_dir, tmp_path, mock_api, capsys,
+                                               batch_size):
+    # baseline fetches the query texts, deo the sub-query texts; avg_only
+    # and rrf_only find everything fetched; the full cache needs no chat
+    mock_api.embed_dim = 8
+    code, _, err = online_eval(capsys, fixtures_dir, tmp_path, mock_api, batch_size)
+    assert code == 0, err
+    query_texts, subs = fixture_texts(fixtures_dir)
+
+    def batches(texts):
+        return [texts[i : i + batch_size] for i in range(0, len(texts), batch_size)]
+
+    sent = [payload["input"] for path, payload in mock_api.requests if path == "/v1/embeddings"]
+    assert sent == batches(query_texts) + batches(subs)
+    assert len(sent) == -(-len(query_texts) // batch_size) - (-len(subs) // batch_size)
+    assert mock_api.request_count("/v1/chat/completions") == 0
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 64])
+def test_online_eval_equals_offline_eval(fixtures_dir, tmp_path, mock_api, capsys, batch_size):
+    mock_api.embed_dim = 8
+    mock_api.embed_vector = float32_unit_vector
+    query_texts, subs = fixture_texts(fixtures_dir)
+    qstore = EmbeddingStore(dim=8)
+    for text in query_texts + subs:
+        qstore.add(text, float32_unit_vector(text, 8))
+    qstore.save_jsonl(tmp_path / "qstore.emb.jsonl")
+    offline = tmp_path / "offline"
+    offline.mkdir()
+    write_bench_cfg(offline / "bench.cfg", fixtures_dir,
+                    query_store=str(tmp_path / "qstore.emb.jsonl"), run_dir=str(offline / "runs"))
+    code, _, err = run_cli(capsys, "eval", "--config", str(offline / "bench.cfg"))
+    assert code == 0, err
+
+    code, _, err = online_eval(capsys, fixtures_dir, tmp_path, mock_api, batch_size)
+    assert code == 0, err
+    for run in ("baseline", "deo", "avg_only", "rrf_only"):
+        assert ((tmp_path / "runs" / f"{run}.run").read_bytes()
+                == (offline / "runs" / f"{run}.run").read_bytes())
+
+
+def test_adhoc_search_makes_one_embedding_request(fixtures_dir, tmp_path, mock_api, capsys):
+    mock_api.embed_dim = 8
+    tool = write_tool_cfg(tmp_path, mock_api)
+    tool.write_text(tool.read_text().replace("mock-llm", "fixture-llm"))
+    query_texts, _ = fixture_texts(fixtures_dir)
+    code, out, err = run_cli(capsys, "search", "--config", str(tool), "--deo",
+                             "--store", str(fixtures_dir / "corpus.emb.jsonl"),
+                             "--cache", str(fixtures_dir / "cache.jsonl"),
+                             "--query", query_texts[0], "--k", "3")
+    assert code == 0, err
+    assert len(out.splitlines()) == 3
+    ((path, payload),) = mock_api.requests
+    assert path == "/v1/embeddings"
+    row = json.loads((fixtures_dir / "cache.jsonl").read_text().splitlines()[0])
+    assert payload["input"] == [query_texts[0], *row["positives"], *row["negatives"]]

@@ -154,6 +154,23 @@ def test_backoff_schedule(mock_api):
     assert slept == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("status, retry_after, slept", [
+    (429, "3", [3.0]),                              # longer than the backoff
+    (503, "0.1", [0.5]),                            # shorter: the backoff
+    (429, "1000", [5.0]),                           # capped at the timeout
+    (503, "Wed, 21 Oct 2026 07:28:00 GMT", [0.5]),  # not a number: the backoff
+    (500, "3", [0.5]),                              # only 429 and 503 carry it
+])
+def test_retry_after_sets_the_wait(mock_api, status, retry_after, slept):
+    mock_api.fail_statuses = [status]
+    mock_api.fail_headers = {"Retry-After": retry_after}
+    cfg = ClientConfig(base_url=mock_api.base_url, api_key_env="K",
+                       max_retries=1, backoff_base=0.5, timeout=5.0)
+    waits = []
+    assert len(EmbeddingClient(cfg, sleep=waits.append).embed(["x"])) == 1
+    assert waits == slept
+
+
 def test_non_retryable_fails_fast(mock_api):
     mock_api.fail_statuses = [404]
     with pytest.raises(TransportError, match="404"):

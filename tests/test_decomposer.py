@@ -231,3 +231,16 @@ def test_decompose_many_dedupes_in_flight(mock_api):
 def test_decompose_many_validates_concurrency(mock_api):
     with pytest.raises(ValueError):
         decompose_many([], make_client(mock_api), concurrency=0)
+
+
+def test_decompose_many_caches_work_done_before_a_failure(tmp_path, mock_api):
+    # the third chat request fails: the first two decompositions were paid
+    # for and stay cached, and no further request is sent
+    mock_api.fail_statuses = [None, None, 404]
+    path = tmp_path / "c.jsonl"
+    pairs = [(f"q{i}", f"query {i}") for i in range(5)]
+    with pytest.raises(TransportError, match="404"):
+        decompose_many(pairs, make_client(mock_api, max_retries=0),
+                       cache=DecompositionCache(path), concurrency=1)
+    assert mock_api.request_count("/v1/chat/completions") == 3
+    assert [e.original for e in DecompositionCache(path).entries()] == ["query 0", "query 1"]
