@@ -59,6 +59,7 @@ from .optimizer import (
     convexity_margin,
     deo_gradient,
     deo_loss,
+    optimize_many,
     optimize_query_embedding,
 )
 from .store import EmbeddingStore, IngestReport, embed_texts, ingest_corpus, load_store, save_store

@@ -54,6 +54,7 @@ from .metrics import (
 from .optimizer import (
     DecompositionEmbeddings,
     OptimizationConfig,
+    optimize_many,
     optimize_query_embedding,
 )
 from .store import embed_texts, load_store
@@ -301,7 +302,8 @@ class QueryPipeline:
         Online, the misses of all the queries are fetched first (_prefetch).
         Queries go in blocks of index.SEARCH_BLOCK, one search_many call per
         block, so a block's rankings are yielded together. Each query's
-        vectors are produced as search_many takes them, so a bad query raises
+        vectors are produced in order, as search_many takes them or, for deo,
+        before one optimize_many call over the block, so a bad query raises
         before later ones are resolved. baseline searches with the query
         vector, deo with the optimized one, avg_only with the mean of the
         query and sub-query vectors; rrf_only rank-fuses the rankings of
@@ -315,18 +317,21 @@ class QueryPipeline:
         for start in range(0, len(queries), index_module.SEARCH_BLOCK):
             block = queries[start : start + index_module.SEARCH_BLOCK]
             groups: list[tuple[int, bool]] = []  # per query: vectors, rank-fused?
+            if system == "deo":
+                optimized = iter([final for final, _ in optimize_many(
+                    [self._inputs(query_id, text, by_id) for query_id, text in block], optimizer)])
 
             def vectors():
                 for query_id, text in block:
                     fused = False
                     if system == "baseline":
                         found = [self._vector(text, query_id if by_id else None)]
+                    elif system == "deo":
+                        found = [next(optimized)]
                     else:
                         inputs = self._inputs(query_id, text, by_id)
                         subs = [*inputs.positives, *inputs.negatives]
-                        if system == "deo":
-                            found = [optimize_query_embedding(inputs, optimizer)[0]]
-                        elif system == "avg_only":
+                        if system == "avg_only":
                             found = [fuse_mean([inputs.original, *subs])]
                         elif subs:
                             found, fused = subs, True

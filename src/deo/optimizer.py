@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,11 +131,19 @@ class OptimizationTrace:
     snapshots -- (steps + 1, d) embedding after each step; row 0 is the
                  initialization (the possibly normalized original), stored
                  exactly.
-    losses    -- (steps + 1,) objective value at each snapshot.
+    inputs    -- the (possibly normalized) inputs the run optimized.
+    config    -- the settings it ran with.
+    losses    -- (steps + 1,) objective value at each snapshot, computed when
+                 first read, so runs whose traces nobody reads never pay for it.
     """
 
     snapshots: np.ndarray
-    losses: np.ndarray = field(repr=False)
+    inputs: DecompositionEmbeddings = field(repr=False)
+    config: OptimizationConfig = field(repr=False)
+
+    @cached_property
+    def losses(self) -> np.ndarray:
+        return np.array([deo_loss(s, self.inputs, self.config) for s in self.snapshots])
 
     @property
     def steps(self) -> int:
@@ -225,20 +234,52 @@ def optimize_query_embedding(
     positives and no negatives the gradient vanishes at the start and the
     initialization is returned unchanged.
     """
-    work = inputs.normalized() if cfg.normalize_inputs else inputs
-    if convexity_margin(work, cfg) <= 0 and (work.num_positives or work.num_negatives):
-        logger.warning(
-            "objective is not strongly convex (c=%g); running %d finite steps anyway",
-            convexity_margin(work, cfg),
-            cfg.steps,
-        )
+    return optimize_many([inputs], cfg)[0]
 
-    e = work.original.copy()
-    snapshots = [e.copy()]
+
+def optimize_many(
+    inputs_list, cfg: OptimizationConfig
+) -> list[tuple[np.ndarray, OptimizationTrace]]:
+    """optimize_query_embedding for each inputs, run as one (Q, d) Adam loop.
+
+    Adam is elementwise and each query's gradient terms are added only to its
+    own row, so every result is bit-identical to a run of the query alone,
+    whatever the batch. All inputs must share one dimension.
+    """
+    work = [x.normalized() if cfg.normalize_inputs else x for x in inputs_list]
+    if not work:
+        return []
+    dim = work[0].dim
+    for x in work:
+        if x.dim != dim:
+            raise DimensionMismatchError(f"inputs of dimension {x.dim} and {dim} in one batch")
+        c = convexity_margin(x, cfg)
+        if c <= 0 and (x.num_positives or x.num_negatives):
+            logger.warning(
+                "objective is not strongly convex (c=%g); running %d finite steps anyway",
+                c,
+                cfg.steps,
+            )
+
+    # each query's centroids once; a term is added only to the rows that have
+    # it, since adding a masked 0.0 would turn a -0.0 gradient component into 0.0
+    originals = np.stack([x.original for x in work])
+    has_p = np.array([x.num_positives > 0 for x in work])
+    has_n = np.array([x.num_negatives > 0 for x in work])
+    mu_p = np.array([x.positives.mean(axis=0) for x in work if x.num_positives])
+    mu_n = np.array([x.negatives.mean(axis=0) for x in work if x.num_negatives])
+
+    e = originals
+    snapshots = np.empty((len(work), cfg.steps + 1, dim))
+    snapshots[:, 0] = e
     m = np.zeros_like(e)
     v = np.zeros_like(e)
     for t in range(1, cfg.steps + 1):
-        g = deo_gradient(e, work, cfg)
+        g = 2.0 * cfg.lambda_o * (e - originals)
+        if len(mu_p):
+            g[has_p] += 2.0 * cfg.lambda_p * (e[has_p] - mu_p)
+        if len(mu_n):
+            g[has_n] -= 2.0 * cfg.lambda_n * (e[has_n] - mu_n)
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
         m_hat = m / (1.0 - cfg.beta1**t)
@@ -253,8 +294,9 @@ def optimize_query_embedding(
             where=denom > 0.0,
         )
         e = e - update
-        snapshots.append(e.copy())
+        snapshots[:, t] = e
 
-    stacked = np.stack(snapshots)
-    losses = np.array([deo_loss(s, work, cfg) for s in stacked])
-    return stacked[-1].copy(), OptimizationTrace(snapshots=stacked, losses=losses)
+    return [
+        (trace[-1].copy(), OptimizationTrace(snapshots=trace, inputs=x, config=cfg))
+        for x, trace in zip(work, snapshots)
+    ]

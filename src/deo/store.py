@@ -162,46 +162,53 @@ class EmbeddingStore:
 
     @classmethod
     def load_binary(cls, path) -> "EmbeddingStore":
+        """Read the records straight into one (count, dim) float32 matrix.
+
+        Every record is checked against the file size before its row is
+        read, and the matrix has at most as many rows as the file can hold,
+        so a header that overstates the count fails at the first missing
+        record instead of forcing a huge allocation.
+        """
         with open(path, "rb") as fh:
-            data = fh.read()
-        if not data.startswith(BINARY_MAGIC):
-            raise FormatError(f"{path}: bad magic, not a binary embedding store")
-        offset = len(BINARY_MAGIC)
-        if len(data) < offset + 12:
-            raise FormatError(f"{path}: truncated header at offset {len(data)}")
-        (dim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        (count,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        if dim <= 0:
-            raise FormatError(f"{path}: header dim must be positive")
-        # ids and vector offsets first, so the matrix is allocated only once
-        # the file is known to hold every record the header counts
-        ids: list[str] = []
-        index: dict[str, int] = {}
-        starts: list[int] = []
-        vec_bytes = 4 * dim
-        for i in range(count):
-            if offset + 2 > len(data):
-                raise FormatError(f"{path}: truncated record {i} at offset {offset}")
-            (id_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            if offset + id_len + vec_bytes > len(data):
-                raise FormatError(f"{path}: truncated record {i} at offset {offset}")
-            record_id = data[offset : offset + id_len].decode("utf-8")
-            if record_id in index:
-                raise FormatError(f"{path}: duplicate id {record_id!r} in record {i}")
-            index[record_id] = i
-            ids.append(record_id)
-            starts.append(offset + id_len)
-            offset += id_len + vec_bytes
-        if offset != len(data):
-            raise FormatError(f"{path}: {len(data) - offset} trailing bytes after records")
-        packed = bytearray(count * vec_bytes)
-        source, target = memoryview(data), memoryview(packed)
-        for i, start in enumerate(starts):
-            target[i * vec_bytes : (i + 1) * vec_bytes] = source[start : start + vec_bytes]
-        vectors = np.frombuffer(packed, dtype="<f4").reshape(count, dim)
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(len(BINARY_MAGIC) + 12)
+            if not head.startswith(BINARY_MAGIC):
+                raise FormatError(f"{path}: bad magic, not a binary embedding store")
+            if len(head) < len(BINARY_MAGIC) + 12:
+                raise FormatError(f"{path}: truncated header at offset {size}")
+            dim, count = struct.unpack_from("<IQ", head, len(BINARY_MAGIC))
+            if dim <= 0:
+                raise FormatError(f"{path}: header dim must be positive")
+            offset = len(head)
+            vec_bytes = 4 * dim
+            # a record takes at least 2 + vec_bytes bytes
+            vectors = np.empty((min(count, (size - offset) // (2 + vec_bytes)), dim), dtype="<f4")
+            ids: list[str] = []
+            index: dict[str, int] = {}
+            read, readinto = fh.read, fh.readinto
+            for i in range(count):
+                if offset + 2 > size:
+                    raise FormatError(f"{path}: truncated record {i} at offset {offset}")
+                id_len = int.from_bytes(read(2), "little")
+                offset += 2
+                if offset + id_len + vec_bytes > size:
+                    raise FormatError(f"{path}: truncated record {i} at offset {offset}")
+                raw_id = read(id_len)
+                if readinto(vectors[i]) < vec_bytes:
+                    raise FormatError(f"{path}: truncated record {i} at offset {offset}")
+                try:
+                    record_id = raw_id.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise FormatError(
+                        f"{path}: id of record {i} at offset {offset} is not valid UTF-8"
+                    ) from None
+                if record_id in index:
+                    raise FormatError(f"{path}: duplicate id {record_id!r} in record {i}")
+                index[record_id] = i
+                ids.append(record_id)
+                offset += id_len + vec_bytes
+        if offset != size:
+            raise FormatError(f"{path}: {size - offset} trailing bytes after records")
         return cls(dim=dim, _ids=ids, _index=index,
                    _vectors=vectors.astype(np.float32, copy=False))
 

@@ -1,8 +1,13 @@
 import logging
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from deo import optimizer
 
 from deo.errors import DimensionMismatchError, NotStronglyConvexError
 from deo.optimizer import (
@@ -13,6 +18,7 @@ from deo.optimizer import (
     convexity_margin,
     deo_gradient,
     deo_loss,
+    optimize_many,
     optimize_query_embedding,
 )
 
@@ -233,3 +239,122 @@ def test_epsilon_zero_never_nan():
     final, trace = optimize_query_embedding(inputs, cfg)
     assert np.all(np.isfinite(trace.snapshots))
     assert np.array_equal(final, trace.initial)
+
+
+def reference_optimize(inputs, cfg):
+    """The one-query Adam loop, step by step through deo_gradient: the
+    reference optimize_many must reproduce bit for bit. Returns the snapshots
+    and the loss at each one."""
+    work = inputs.normalized() if cfg.normalize_inputs else inputs
+    e = work.original.copy()
+    snapshots = [e.copy()]
+    m = np.zeros_like(e)
+    v = np.zeros_like(e)
+    for t in range(1, cfg.steps + 1):
+        g = deo_gradient(e, work, cfg)
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        m_hat = m / (1.0 - cfg.beta1**t)
+        v_hat = v / (1.0 - cfg.beta2**t)
+        denom = np.sqrt(v_hat) + cfg.epsilon
+        update = np.divide(cfg.learning_rate * m_hat, denom,
+                           out=np.zeros_like(e), where=denom > 0.0)
+        e = e - update
+        snapshots.append(e.copy())
+    stacked = np.stack(snapshots)
+    return stacked, np.array([deo_loss(s, work, cfg) for s in stacked])
+
+
+@contextmanager
+def optimizer_warnings():
+    """Collect the messages deo.optimizer logs at WARNING, in order."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    log = logging.getLogger("deo.optimizer")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.WARNING)
+    try:
+        yield messages
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def optimizer_batches(draw):
+    """A batch of 1, 2 or 65 queries with ragged K and M in 0..4 (K = M = 0
+    included), and settings that reach the non-convex case, zero weights,
+    zero steps, epsilon 0 and unnormalized inputs."""
+    q = draw(st.sampled_from([1, 2, 65]))
+    d = draw(st.sampled_from([1, 3, 16]))
+    shapes = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           min_size=q, max_size=q))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cfg = OptimizationConfig(
+        lambda_p=draw(st.sampled_from([1.0, 0.0, 0.5])),
+        lambda_n=draw(st.sampled_from([1.0, 0.0, 3.0])),
+        lambda_o=draw(st.sampled_from([0.2, 0.0, 1.0])),
+        steps=draw(st.sampled_from([20, 0, 1])),
+        epsilon=draw(st.sampled_from([1e-8, 0.0])),
+        normalize_inputs=draw(st.booleans()),
+    )
+    rng = np.random.default_rng(seed)
+    batch = [make_inputs(rng, d, k, m, normalize=False) for k, m in shapes]
+    return batch, cfg
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(optimizer_batches())
+@example(([DecompositionEmbeddings.from_vectors([1.0, -2.0]),
+           DecompositionEmbeddings.from_vectors([0.5, 1.0], [[1.0, 0.0]], [[0.0, 1.0]])],
+          OptimizationConfig(lambda_n=3.0, lambda_o=0.0, epsilon=0.0)))
+def test_optimize_many_equals_single_runs(case):
+    batch, cfg = case
+    with optimizer_warnings() as batch_warnings:
+        many = optimize_many(batch, cfg)
+    with optimizer_warnings() as single_warnings:
+        singles = [optimize_query_embedding(x, cfg) for x in batch]
+    assert len(many) == len(batch)
+    expected_warnings = []
+    for inputs, (final, trace), (final_1, trace_1) in zip(batch, many, singles):
+        snapshots, losses = reference_optimize(inputs, cfg)
+        assert same_bits(trace.snapshots, snapshots)
+        assert same_bits(trace_1.snapshots, snapshots)
+        assert same_bits(final, snapshots[-1]) and same_bits(final_1, snapshots[-1])
+        assert same_bits(trace.losses, losses) and same_bits(trace_1.losses, losses)
+        work = inputs.normalized() if cfg.normalize_inputs else inputs
+        c = convexity_margin(work, cfg)
+        if c <= 0 and (work.num_positives or work.num_negatives):
+            expected_warnings.append(f"objective is not strongly convex (c={c:g}); "
+                                     f"running {cfg.steps} finite steps anyway")
+    # one warning per non-convex query, in input order
+    assert batch_warnings == single_warnings == expected_warnings
+
+
+def test_optimize_many_computes_losses_only_when_read(monkeypatch):
+    calls = []
+    real_loss = optimizer.deo_loss
+    monkeypatch.setattr(optimizer, "deo_loss", lambda *a: calls.append(1) or real_loss(*a))
+    rng = np.random.default_rng(15)
+    results = optimize_many([make_inputs(rng, 5, 2, 1) for _ in range(3)],
+                            OptimizationConfig(steps=4))
+    assert calls == []
+    trace = results[1][1]
+    assert trace.losses.shape == (5,)
+    assert len(calls) == 5
+    assert trace.losses is trace.losses and len(calls) == 5
+
+
+def test_optimize_many_edge_batches():
+    assert optimize_many([], OptimizationConfig()) == []
+    rng = np.random.default_rng(16)
+    with pytest.raises(DimensionMismatchError):
+        optimize_many([make_inputs(rng, 3, 1, 1), make_inputs(rng, 4, 1, 1)],
+                      OptimizationConfig())

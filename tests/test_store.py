@@ -1,8 +1,13 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from deo.cli import main
 from deo.errors import (
     DimensionMismatchError,
     DuplicateIdError,
@@ -177,6 +182,80 @@ def test_binary_rejects_bad_magic_and_truncation(tmp_path):
     trailing.write_bytes(data + b"\x00\x00")
     with pytest.raises(FormatError, match="trailing"):
         EmbeddingStore.load_binary(trailing)
+
+
+@st.composite
+def binary_stores(draw):
+    """Stores of 0-6 records with dim 1-5, ids of multi-byte UTF-8 (empty
+    included) and arbitrary float32 components, NaN payloads included."""
+    dim = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.text(max_size=6), max_size=6, unique=True))
+    store = EmbeddingStore(dim=dim)
+    for record_id in ids:
+        bits = draw(st.lists(st.integers(0, 2**32 - 1), min_size=dim, max_size=dim))
+        store.add(record_id, np.array(bits, dtype=np.uint32).view(np.float32))
+    return store
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(binary_stores())
+@example(EmbeddingStore(dim=1))
+def test_binary_roundtrip_property(tmp_path_factory, store):
+    path = tmp_path_factory.mktemp("rt") / "s.bin"
+    store.save_binary(path)
+    loaded = load_store(path)
+    assert (loaded.dim, loaded.ids) == (store.dim, store.ids)
+    assert loaded.matrix.dtype == np.float32 and loaded.matrix.shape == (len(store), store.dim)
+    assert loaded.matrix.tobytes() == store.matrix.tobytes()
+
+
+def test_binary_truncated_at_every_length_is_a_format_error(tmp_path):
+    store = EmbeddingStore(dim=3)
+    for i, record_id in enumerate(["a", "ü-doc", "", "文書"]):
+        store.add(record_id, [i, -i, 0.5])
+    good = tmp_path / "good.bin"
+    store.save_binary(good)
+    data = good.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(FormatError, match="magic|truncated"):
+            EmbeddingStore.load_binary(cut)
+
+
+def test_binary_count_beyond_the_file_is_not_allocated(tmp_path):
+    store = EmbeddingStore(dim=4)
+    store.add("a", [1.0, 2.0, 3.0, 4.0])
+    good = tmp_path / "good.bin"
+    store.save_binary(good)
+    lying = tmp_path / "lying.bin"
+    data = bytearray(good.read_bytes())
+    data[12:20] = struct.pack("<Q", 2**40)
+    lying.write_bytes(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated record 1 at offset 39"):
+            EmbeddingStore.load_binary(lying)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_binary_bad_utf8_id_names_record_and_offset(tmp_path, capsys):
+    store = EmbeddingStore(dim=1)
+    store.add("ok", [1.0])
+    store.add("xy", [2.0])
+    path = tmp_path / "badid.bin"
+    store.save_binary(path)
+    data = path.read_bytes()
+    at = data.index(b"xy")
+    path.write_bytes(data[:at] + b"\xff\xfe" + data[at + 2:])
+    with pytest.raises(FormatError, match=f"badid.bin: id of record 1 at offset {at} is not valid UTF-8"):
+        EmbeddingStore.load_binary(path)
+    assert main(["index", "--store", str(path)]) == 1
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["error"] == "FormatError" and "record 1" in diag["message"]
 
 
 def test_load_store_sniffs_format(tmp_path):
