@@ -10,7 +10,6 @@ grid of loss weights and step counts.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -22,13 +21,8 @@ import numpy as np
 
 from . import index as index_module
 from .analysis import TrajectoryExport, export_trajectory
-from .config import (
-    OPTIMIZER_KEYS,
-    accepts_optimizer_keywords,
-    parse_flat_config,
-    parse_value,
-    split_optimizer_keys,
-)
+from .config import (OPTIMIZER_KEYS, accepts_optimizer_keywords, build_config, read_config,
+                     resolve_path)
 from .decomposer import (
     DEFAULT_MAX_SUBQUERIES,
     DecomposedQuery,
@@ -102,18 +96,18 @@ def report_timestamp() -> str:
 class BenchmarkConfig:
     """Declarative benchmark description; paths are absolute after loading."""
 
-    corpus_store: str
-    queries: str
-    qrels: str
-    query_store: str = ""
-    cache: str = ""
+    corpus_store: str = field(metadata={"path": True})
+    queries: str = field(metadata={"path": True})
+    qrels: str = field(metadata={"path": True})
+    query_store: str = field(default="", metadata={"path": True})
+    cache: str = field(default="", metadata={"path": True})
     systems: tuple[str, ...] = ("baseline", "deo")
     metrics: tuple[str, ...] = ("ndcg@10", "map@100")
     depth: int = 0
     offline: bool = True
-    run_dir: str = ""
-    report_json: str = ""
-    report_csv: str = ""
+    run_dir: str = field(default="", metadata={"path": True})
+    report_json: str = field(default="", metadata={"path": True})
+    report_csv: str = field(default="", metadata={"path": True})
     model: str = ""
     optimizer: OptimizationConfig = field(default_factory=OptimizationConfig)
     config_hash: str = ""
@@ -126,6 +120,8 @@ class BenchmarkConfig:
                 )
         for spec in self.metrics:
             parse_metric_spec(spec)
+        if self.depth < 0:
+            raise ValueError("depth must be >= 0")
 
     @property
     def search_depth(self) -> int:
@@ -135,48 +131,13 @@ class BenchmarkConfig:
 
     @classmethod
     def from_file(cls, path) -> "BenchmarkConfig":
-        path = os.fspath(path)
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        mapping = parse_flat_config(raw.decode("utf-8"), path)
-        base = os.path.dirname(os.path.abspath(path))
-        return cls.from_mapping(
-            mapping,
-            base_dir=base,
-            config_hash=hashlib.sha256(raw).hexdigest()[:12],
-            path=path,
-        )
+        return cls.from_mapping(*read_config(path), path=os.fspath(path))
 
     @classmethod
     def from_mapping(
         cls, mapping: dict[str, str], base_dir: str = ".", config_hash: str = "", path: str = "<config>"
     ) -> "BenchmarkConfig":
-        def resolve(p: str) -> str:
-            return p if os.path.isabs(p) else os.path.normpath(os.path.join(base_dir, p))
-
-        optimizer, rest = split_optimizer_keys(mapping, path)
-        kwargs: dict = {"config_hash": config_hash, "optimizer": optimizer}
-        path_keys = {
-            "corpus_store", "queries", "qrels", "query_store", "cache",
-            "run_dir", "report_json", "report_csv",
-        }
-        for key, value in rest.items():
-            if key in path_keys:
-                kwargs[key] = resolve(value) if value else ""
-            elif key == "depth":
-                kwargs[key] = parse_value(value, "int", key, path)
-            elif key == "offline":
-                kwargs[key] = parse_value(value, "bool", key, path)
-            elif key in ("systems", "metrics"):
-                kwargs[key] = tuple(item.strip() for item in value.split(",") if item.strip())
-            elif key == "model":
-                kwargs[key] = value
-            else:
-                raise ConfigError(f"{path}: unknown benchmark key {key!r}")
-        missing = {"corpus_store", "queries", "qrels"} - set(kwargs)
-        if missing:
-            raise ConfigError(f"{path}: missing required keys {sorted(missing)}")
-        return cls(**kwargs)
+        return build_config(cls, mapping, path, base_dir, "benchmark", config_hash=config_hash)
 
 
 class QueryPipeline:
@@ -213,14 +174,15 @@ class QueryPipeline:
         self._embedded: dict[str, np.ndarray] = {}  # texts embedded online
 
     def _store_key(self, text: str, record_id: str | None = None) -> str | None:
-        """The query-store id holding the vector of record_id, else of text."""
+        """The query-store id holding the vector of record_id, else of text.
+        An ad-hoc query is its own id, so it is read by text alone."""
         if self.store is not None:
             for key in (record_id, text):
                 if key is not None and key in self.store:
                     return key
         return None
 
-    def _prefetch(self, queries, by_id: bool = True, subqueries: bool = True) -> None:
+    def _prefetch(self, queries, subqueries: bool = True) -> None:
         """Fetch what resolving the (query_id, text) pairs will read and the
         store, cache and memos lack, many per request: decompositions (when
         `subqueries`) through decompose_many at `concurrency`, then the query
@@ -235,7 +197,7 @@ class QueryPipeline:
             return
         texts = []
         for query_id, text in queries:
-            if self._store_key(text, query_id if by_id else None) is None:
+            if self._store_key(text, query_id) is None:
                 texts.append(text)
             if subqueries:
                 try:
@@ -279,23 +241,21 @@ class QueryPipeline:
         self._decompositions[query_id] = entry
         return entry
 
-    def embeddings(self, query_id: str, text: str, by_id: bool = True) -> DecompositionEmbeddings:
-        """The query's decomposition, embedded: the optimizer's input.
-        by_id=False looks the query itself up by text only, for ad-hoc
-        queries whose id is a placeholder."""
-        self._prefetch([(query_id, text)], by_id)
-        return self._inputs(query_id, text, by_id)
+    def embeddings(self, query_id: str, text: str) -> DecompositionEmbeddings:
+        """The query's decomposition, embedded: the optimizer's input."""
+        self._prefetch([(query_id, text)])
+        return self._inputs(query_id, text)
 
-    def _inputs(self, query_id: str, text: str, by_id: bool) -> DecompositionEmbeddings:
+    def _inputs(self, query_id: str, text: str) -> DecompositionEmbeddings:
         entry = self.decomposition(query_id, text)
         return DecompositionEmbeddings.from_vectors(
-            self._vector(text, query_id if by_id else None),
+            self._vector(text, query_id),
             [self._vector(t) for t in entry.positives],
             [self._vector(t) for t in entry.negatives],
         )
 
     def rank(self, index: FlatIndex, system: str, queries, k: int,
-             optimizer: OptimizationConfig, by_id: bool = True):
+             optimizer: OptimizationConfig):
         """Yield (query_id, RankedList) for each (query_id, text) pair of
         `queries`, in order, as `system` ranks it.
 
@@ -313,23 +273,23 @@ class QueryPipeline:
         if system not in KNOWN_SYSTEMS:
             raise ConfigError(f"unknown system {system!r}")
         queries = list(queries)
-        self._prefetch(queries, by_id, subqueries=system != "baseline")
+        self._prefetch(queries, subqueries=system != "baseline")
         for start in range(0, len(queries), index_module.SEARCH_BLOCK):
             block = queries[start : start + index_module.SEARCH_BLOCK]
             groups: list[tuple[int, bool]] = []  # per query: vectors, rank-fused?
             if system == "deo":
                 optimized = iter([final for final, _ in optimize_many(
-                    [self._inputs(query_id, text, by_id) for query_id, text in block], optimizer)])
+                    [self._inputs(query_id, text) for query_id, text in block], optimizer)])
 
             def vectors():
                 for query_id, text in block:
                     fused = False
                     if system == "baseline":
-                        found = [self._vector(text, query_id if by_id else None)]
+                        found = [self._vector(text, query_id)]
                     elif system == "deo":
                         found = [next(optimized)]
                     else:
-                        inputs = self._inputs(query_id, text, by_id)
+                        inputs = self._inputs(query_id, text)
                         subs = [*inputs.positives, *inputs.negatives]
                         if system == "avg_only":
                             found = [fuse_mean([inputs.original, *subs])]
@@ -489,8 +449,8 @@ def trajectory(cfg: BenchmarkConfig, query_id: str, chat_client=None,
     inputs = runner.pipeline.embeddings(query_id, runner.queries[query_id])
     _, trace = optimize_query_embedding(inputs, cfg.optimizer)
     basis = pca_fit(runner.index.unit_vectors(), n_components=2)
-    plotted = inputs.normalized() if cfg.optimizer.normalize_inputs else inputs
-    return export_trajectory(trace, plotted, runner.index, runner.qrels.get(query_id, {}), basis)
+    return export_trajectory(trace, trace.inputs, runner.index, runner.qrels.get(query_id, {}),
+                             basis)
 
 
 @dataclass(frozen=True)
@@ -504,21 +464,12 @@ class SweepConfig:
 
     @classmethod
     def from_file(cls, path) -> "SweepConfig":
+        mapping, base_dir, digest = read_config(path)
         path = os.fspath(path)
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        mapping = parse_flat_config(raw.decode("utf-8"), path)
-        base_dir = os.path.dirname(os.path.abspath(path))
-
         lambdas_value = mapping.pop("lambdas", "")
         steps_value = mapping.pop("steps_list", "")
-        out_csv = mapping.pop("sweep_csv", "")
-        cfg = BenchmarkConfig.from_mapping(
-            mapping,
-            base_dir=base_dir,
-            config_hash=hashlib.sha256(raw).hexdigest()[:12],
-            path=path,
-        )
+        out_csv = resolve_path(mapping.pop("sweep_csv", ""), base_dir)
+        cfg = BenchmarkConfig.from_mapping(mapping, base_dir, digest, path)
 
         triples: list[tuple[float, ...]] = []
         for chunk in filter(None, (chunk.strip() for chunk in lambdas_value.split(";"))):
@@ -542,9 +493,6 @@ class SweepConfig:
             except ValueError:
                 raise ConfigError(f"{path}: non-integer steps {chunk!r}") from None
         steps_list = steps_list or [cfg.optimizer.steps]
-
-        if not os.path.isabs(out_csv) and out_csv:
-            out_csv = os.path.normpath(os.path.join(base_dir, out_csv))
         sweep_cfg = cls(
             base=cfg,
             lambda_triples=tuple(triples),

@@ -35,12 +35,9 @@ def _fail(exc: BaseException, code: int) -> int:
     return code
 
 
-def _tool_config(args) -> ToolConfig:
-    cfg = ToolConfig.from_file(args.config) if getattr(args, "config", None) else ToolConfig()
-    preset = getattr(args, "preset", None)
-    if preset:
-        cfg = cfg.with_preset(preset)
-    return cfg
+def _tool_config(path, preset=None) -> ToolConfig:
+    cfg = ToolConfig.from_file(path) if path else ToolConfig()
+    return cfg.with_preset(preset) if preset else cfg
 
 
 def _with_steps(optimizer: OptimizationConfig, steps: int | None) -> OptimizationConfig:
@@ -56,18 +53,21 @@ def _embed_client(cfg: ToolConfig) -> EmbeddingClient:
     return EmbeddingClient(cfg.embed_client_config(), model=cfg.embed_model)
 
 
+def _endpoints(cfg: ToolConfig) -> dict:
+    """QueryPipeline's online keywords from a tool config: both clients, the
+    decomposition limit and the batching."""
+    return {"chat_client": _chat_client(cfg), "embed_client": _embed_client(cfg),
+            "max_subqueries": cfg.max_subqueries, "batch_size": cfg.batch_size,
+            "concurrency": cfg.concurrency}
+
+
 def _pipeline(args, cfg: ToolConfig) -> benchmark.QueryPipeline:
-    online = not args.offline
-    return benchmark.QueryPipeline(
-        args.query_store or "", args.cache or "",
-        _chat_client(cfg) if online else None, _embed_client(cfg) if online else None,
-        model=cfg.chat_model, max_subqueries=cfg.max_subqueries,
-        batch_size=cfg.batch_size, concurrency=cfg.concurrency,
-    )
+    return benchmark.QueryPipeline(args.query_store or "", args.cache or "", model=cfg.chat_model,
+                                   **({} if args.offline else _endpoints(cfg)))
 
 
 def cmd_decompose(args) -> int:
-    cfg = _tool_config(args)
+    cfg = _tool_config(args.config, args.preset)
     queries = load_texts_jsonl(args.queries)
     cache = DecompositionCache(args.cache)
     before = len(cache)
@@ -85,7 +85,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    cfg = _tool_config(args)
+    cfg = _tool_config(args.config, args.preset)
     texts = load_texts_jsonl(args.docs)
     client = _embed_client(cfg)
     report, _ = ingest_corpus(
@@ -115,33 +115,29 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = _tool_config(args)
+    cfg = _tool_config(args.config, args.preset)
     index = _load_index(args.store)
     pipeline = _pipeline(args, cfg)
     optimizer = _with_steps(cfg.optimizer, args.steps)
 
-    if args.query is not None:
-        # ad-hoc text has no real id; resolve it by text, not the placeholder
-        queries = {"q1": args.query}
-        by_id = False
-    else:
-        queries = load_texts_jsonl(args.queries)
-        by_id = True
+    # ad-hoc text is its own id, so the query store is read by text; it prints as q1
+    adhoc = args.query is not None
+    queries = {args.query: args.query} if adhoc else load_texts_jsonl(args.queries)
 
     system = "deo" if args.deo else "baseline"
     run_tag = args.run_tag or system
-    rankings = pipeline.rank(index, system, sorted(queries.items()), args.k, optimizer, by_id)
+    rankings = pipeline.rank(index, system, sorted(queries.items()), args.k, optimizer)
     for query_id, ranking in rankings:
         for rank, (doc_id, score) in enumerate(ranking.items(), start=1):
-            print(f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}")
+            print(f"{'q1' if adhoc else query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}")
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    cfg = _tool_config(args)
+    cfg = _tool_config(args.config, args.preset)
     pipeline = _pipeline(args, cfg)
-    inputs = pipeline.embeddings("q1", args.query, by_id=False)
-    entry = pipeline.decomposition("q1", args.query)
+    inputs = pipeline.embeddings(args.query, args.query)
+    entry = pipeline.decomposition(args.query, args.query)
     opt_cfg = _with_steps(cfg.optimizer, args.steps)
     final, trace = optimize_query_embedding(inputs, opt_cfg)
 
@@ -168,14 +164,8 @@ def cmd_optimize(args) -> int:
 
 def _benchmark_endpoints(args, offline: bool) -> dict:
     """Keyword arguments for run_benchmark, sweep and trajectory: an online
-    benchmark's clients, decomposition limit and batching, from --tool-config."""
-    if offline:
-        return {}
-    tool_cfg = (ToolConfig.from_file(args.tool_config)
-                if getattr(args, "tool_config", None) else ToolConfig())
-    return {"chat_client": _chat_client(tool_cfg), "embed_client": _embed_client(tool_cfg),
-            "max_subqueries": tool_cfg.max_subqueries, "batch_size": tool_cfg.batch_size,
-            "concurrency": tool_cfg.concurrency}
+    benchmark's endpoints from --tool-config, which offline is never read."""
+    return {} if offline else _endpoints(_tool_config(args.tool_config))
 
 
 def cmd_eval(args) -> int:

@@ -9,7 +9,9 @@ OptimizationConfig in every config object.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields, replace
+import hashlib
+import os
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .clients import ClientConfig
 from .errors import ConfigError
@@ -41,7 +43,8 @@ def parse_flat_config(text: str, path: str = "<config>") -> dict[str, str]:
 
 
 def parse_value(value: str, kind: str, key: str, path: str):
-    """Convert one raw value to kind ('bool', 'int', 'float', else str).
+    """Convert one raw value to kind ('bool', 'int', 'float', 'tuple[str, ...]'
+    for a comma list, else str).
 
     A value that does not parse is a ConfigError naming the file and key.
     """
@@ -57,25 +60,59 @@ def parse_value(value: str, kind: str, key: str, path: str):
             return int(value)
         if kind == "float":
             return float(value)
+        if kind == "tuple[str, ...]":
+            return tuple(item.strip() for item in value.split(",") if item.strip())
         return value
     except ValueError:
         raise ConfigError(f"{path}: key {key!r} has invalid value {value!r}") from None
 
 
-def split_optimizer_keys(
-    mapping: dict[str, str], path: str
-) -> tuple[OptimizationConfig, dict[str, str]]:
-    """Parse the flat optimizer keys of a config mapping.
+def read_config(path) -> tuple[dict[str, str], str, str]:
+    """The key = value mapping of the file at path, the directory its
+    relative paths resolve against, and the 12-hex SHA-256 of its bytes."""
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return (parse_flat_config(raw.decode("utf-8"), path), os.path.dirname(os.path.abspath(path)),
+            hashlib.sha256(raw).hexdigest()[:12])
 
-    Returns the OptimizationConfig they describe (defaults for absent keys)
-    and the mapping's other keys.
+
+def resolve_path(value: str, base_dir: str) -> str:
+    """value against base_dir, unless it is absolute or empty."""
+    if not value or os.path.isabs(value):
+        return value
+    return os.path.normpath(os.path.join(base_dir, value))
+
+
+def build_config(cls, mapping: dict[str, str], path: str = "<config>", base_dir: str = ".",
+                 kind: str = "config", **fixed):
+    """cls(...) from a flat key = value mapping.
+
+    Each value is parsed by its field's declared type (parse_value). The
+    optimizer keys fold into `optimizer` (cls takes them as keywords, see
+    accepts_optimizer_keywords), and a field whose metadata has "path"
+    resolves against base_dir. `fixed` fields come from the caller, never
+    from the file. Unknown keys, missing required fields and values cls
+    rejects (ValueError or ConfigError) are ConfigErrors naming the file.
     """
-    rest = dict(mapping)
-    kwargs = {key: parse_value(rest.pop(key), kind, key, path)
-              for key, kind in OPTIMIZER_KEYS.items() if key in rest}
+    known = {f.name: f for f in fields(cls) if f.name != "optimizer" and f.name not in fixed}
+    kwargs = dict(fixed)
+    for key, value in mapping.items():
+        if key in OPTIMIZER_KEYS:
+            kwargs[key] = parse_value(value, OPTIMIZER_KEYS[key], key, path)
+        elif key in known:
+            if known[key].metadata.get("path"):
+                value = resolve_path(value, base_dir)
+            kwargs[key] = parse_value(value, known[key].type, key, path)
+        else:
+            raise ConfigError(f"{path}: unknown {kind} key {key!r}")
+    missing = [name for name, f in known.items() if name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{path}: missing required keys {sorted(missing)}")
     try:
-        return OptimizationConfig(**kwargs), rest
-    except ValueError as exc:
+        return cls(**kwargs)
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -95,6 +132,7 @@ def accepts_optimizer_keywords(cls):
     return cls
 
 
+@accepts_optimizer_keywords
 @dataclass(frozen=True)
 class ToolConfig:
     """Everything the CLI needs to talk to endpoints and run the optimizer."""
@@ -113,22 +151,25 @@ class ToolConfig:
     timeout: float = 60.0
     max_retries: int = 3
 
+    def __post_init__(self) -> None:
+        if self.max_subqueries < 1:
+            raise ValueError("max_subqueries must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+
     @classmethod
     def from_mapping(cls, mapping: dict[str, str], path: str = "<config>") -> "ToolConfig":
-        optimizer, rest = split_optimizer_keys(mapping, path)
-        known = {f.name: f.type for f in fields(cls) if f.name != "optimizer"}
-        kwargs = {}
-        for key, value in rest.items():
-            if key not in known:
-                raise ConfigError(f"{path}: unknown config key {key!r}")
-            kwargs[key] = parse_value(value, known[key], key, path)
-        return cls(optimizer=optimizer, **kwargs)
+        return build_config(cls, mapping, path)
 
     @classmethod
     def from_file(cls, path) -> "ToolConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return cls.from_mapping(parse_flat_config(text, str(path)), str(path))
+        return cls.from_mapping(read_config(path)[0], os.fspath(path))
 
     def with_preset(self, preset: str) -> "ToolConfig":
         """Apply a named loss-weight preset from optimizer.PRESETS."""

@@ -196,14 +196,15 @@ class DecompositionCache:
     """JSONL-backed cache keyed by (query text, model).
 
     Covers one temperature per file by convention; the file schema carries
-    query and model only. Writes rewrite the whole file atomically, so a
-    crashed run never leaves a truncated cache.
+    query and model only. Entries keep the order their keys first appeared
+    in (a later line or put for a key replaces the entry in place). Writes
+    rewrite the whole file atomically, so a crashed run never leaves a
+    truncated cache.
     """
 
     def __init__(self, path):
         self.path = path
         self._entries: dict[tuple[str, str], DecomposedQuery] = {}
-        self._order: list[tuple[str, str]] = []
         try:
             rows = list(read_jsonl(path))
         except FileNotFoundError:
@@ -224,10 +225,7 @@ class DecompositionCache:
                 negatives=tuple(negatives),
                 model=str(obj.get("model", "")),
             )
-            key = (entry.original, entry.model)
-            if key not in self._entries:
-                self._order.append(key)
-            self._entries[key] = entry
+            self._entries[(entry.original, entry.model)] = entry
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -240,28 +238,22 @@ class DecompositionCache:
         exact = self._entries.get((query, model))
         if exact is not None or model:
             return exact
-        for key in self._order:
-            if key[0] == query:
-                return self._entries[key]
-        return None
+        return next((entry for (text, _), entry in self._entries.items() if text == query), None)
 
     def put(self, entry: DecomposedQuery, flush: bool = True) -> None:
-        key = (entry.original, entry.model)
-        if key not in self._entries:
-            self._order.append(key)
-        self._entries[key] = entry
+        self._entries[(entry.original, entry.model)] = entry
         if flush:
             self.flush()
 
     def flush(self) -> None:
         buf = io.StringIO()
-        for key in self._order:
-            buf.write(json.dumps(self._entries[key].to_cache_obj(), ensure_ascii=False))
+        for entry in self._entries.values():
+            buf.write(json.dumps(entry.to_cache_obj(), ensure_ascii=False))
             buf.write("\n")
         atomic_write_bytes(self.path, buf.getvalue().encode("utf-8"))
 
     def entries(self) -> list[DecomposedQuery]:
-        return [self._entries[key] for key in self._order]
+        return list(self._entries.values())
 
 
 def decompose_many(

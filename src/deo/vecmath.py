@@ -13,9 +13,6 @@ from .errors import DimensionMismatchError, InsufficientDataError, ZeroVectorErr
 
 ZERO_NORM_EPS = 1e-12
 
-# Covariance above this dimension is solved through the Gram matrix instead.
-GRAM_TRICK_DIM = 512
-
 
 def as_vector(v) -> np.ndarray:
     """Coerce input to a finite 1-D float64 array."""
@@ -121,10 +118,10 @@ def _complete_orthonormal(rows: list[np.ndarray], dim: int, count: int) -> list[
 def pca_fit(corpus, n_components: int) -> PcaBasis:
     """Fit a centered PCA on a list of vectors.
 
-    Uses an exact eigendecomposition of the d x d sample covariance for
-    d <= 512 and the Gram-matrix route on the n x n inner-product matrix
-    otherwise. Trailing components of a rank-deficient covariance carry zero
-    variance; that is not an error.
+    Uses an exact eigendecomposition of whichever matrix is smaller: the
+    d x d sample covariance when n >= d, else the n x n Gram matrix of the
+    centered points. Trailing components of a rank-deficient covariance
+    carry zero variance; that is not an error.
     """
     X = np.asarray(corpus, dtype=np.float64)
     if X.ndim != 2:
@@ -142,7 +139,7 @@ def pca_fit(corpus, n_components: int) -> PcaBasis:
     mean = X.mean(axis=0)
     centered = X - mean
 
-    if d <= GRAM_TRICK_DIM:
+    if n >= d:
         cov = centered.T @ centered / (n - 1)
         eigvals, eigvecs = np.linalg.eigh(cov)
         order = np.argsort(eigvals)[::-1][:n_components]

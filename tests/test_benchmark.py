@@ -226,10 +226,10 @@ def test_resolver_online_memoizes():
     np.testing.assert_array_equal(pipeline._vector("t"), v2)
 
 
-@pytest.mark.parametrize("by_id, fetched", [(True, ["new"]), (False, ["unknown", "new"])])
-def test_prefetch_fetches_what_the_store_lacks(tmp_path, by_id, fetched):
-    # the store is read by id (when by_id), then by text; only what it
-    # lacks goes to the endpoint, and a text shared by two queries once
+def test_prefetch_fetches_what_the_store_lacks(tmp_path):
+    # the store is read by id, then by text (an ad-hoc query is its own id);
+    # only what it lacks goes to the endpoint, and a text shared by two
+    # queries once
     store = EmbeddingStore(dim=4)
     for key in ("q1", "alpha only", "alpha things"):
         store.add(key, DOCS["d_gamma"])
@@ -239,9 +239,11 @@ def test_prefetch_fetches_what_the_store_lacks(tmp_path, by_id, fetched):
     pipeline = QueryPipeline(str(tmp_path / "q.emb.jsonl"), str(tmp_path / "cache.jsonl"),
                              embed_client=client, batch_size=2)
     pipeline._prefetch([("q1", "unknown"), ("q2", "alpha only"), ("q3", "new"),
-                        ("q4", "new")], by_id, subqueries=False)
-    pipeline._prefetch([("q0", CACHE_ROWS[0]["query"])], by_id)
-    assert client.batches == [fetched, [CACHE_ROWS[0]["query"], "beta things"]]
+                        ("q4", "new"), ("alpha only", "alpha only"), ("other", "other")],
+                       subqueries=False)
+    text = CACHE_ROWS[0]["query"]
+    pipeline._prefetch([(text, text)])
+    assert client.batches == [["new", "other"], [text, "beta things"]]
 
 
 def test_resolver_offline_ignores_client(tmp_path):
@@ -305,6 +307,23 @@ def test_fusion_systems_match_manual_composition(tmp_path):
     expected_rrf = rrf_fuse(lists, k=depth, k_rrf=60.0).doc_ids
     got_rrf = tuple(l.split()[2] for l in rrf_lines if l.startswith("q1 "))
     assert got_rrf == expected_rrf
+
+
+def test_rrf_only_without_subqueries_ranks_like_baseline(tmp_path):
+    # a cached decomposition with nothing to fuse degrades to the plain query
+    cfg = build_env(tmp_path, systems="baseline, rrf_only", extra_cfg="run_dir = runs\n")
+    rows = [dict(row, positives=[], negatives=[]) if row["query_id"] == "q2" else row
+            for row in CACHE_ROWS]
+    (tmp_path / "cache.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    report = run_benchmark(cfg)
+
+    def q2_lines(system):
+        lines = (tmp_path / "runs" / f"{system}.run").read_text().splitlines()
+        return [line.rsplit(" ", 1)[0] for line in lines if line.startswith("q2 ")]
+
+    assert q2_lines("rrf_only") == q2_lines("baseline") != []
+    assert (report.per_query["rrf_only"]["ndcg@10"]["q2"]
+            == report.per_query["baseline"]["ndcg@10"]["q2"])
 
 
 def test_deo_improves_negation_query(tmp_path):

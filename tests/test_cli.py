@@ -84,6 +84,9 @@ def test_offline_cache_miss_is_data_error(fixtures_dir, tmp_path, capsys):
     ("steps", "abc", "key 'steps' has invalid value 'abc'"),
     ("depth", "ten", "key 'depth' has invalid value 'ten'"),
     ("steps", "-1", "steps must be >= 0"),
+    ("depth", "-1", "depth must be >= 0"),
+    ("systems", "baseline, bm25", "unknown system 'bm25'"),
+    ("metrics", "bleu@4", "unknown metric kind 'bleu'"),
 ])
 def test_eval_bad_config_value_names_file_and_key(fixtures_dir, tmp_path, capsys,
                                                    key, value, message):
@@ -262,6 +265,23 @@ def test_search_single_query_resolves_by_text(fixtures_dir, capsys):
     lines = out.splitlines()
     assert len(lines) == 5
     assert lines[0].endswith(" adhoc")
+
+
+def test_search_adhoc_query_is_its_own_id(fixtures_dir, tmp_path, capsys):
+    # the ad-hoc text is the query's id, so a missing decomposition names
+    # the text; its ranking still prints as q1
+    text = "solar power adoption, excluding anything about nuclear energy"
+    (tmp_path / "empty.jsonl").write_text("")
+    search = ["search", "--store", str(fixtures_dir / "corpus.emb.jsonl"),
+              "--query-store", str(fixtures_dir / "queries.emb.jsonl"),
+              "--query", text, "--offline", "--k", "3"]
+    code, out, err = run_cli(capsys, *search, "--deo", "--cache", str(tmp_path / "empty.jsonl"))
+    assert code == 1
+    diag = json.loads(err.strip())
+    assert diag["error"] == "MissingDecompositionError" and repr(text) in diag["message"]
+    code, out, err = run_cli(capsys, *search)
+    assert code == 0, err
+    assert [line.split()[0] for line in out.splitlines()] == ["q1"] * 3
 
 
 # -- optimize -----------------------------------------------------------------
@@ -553,6 +573,22 @@ def test_online_eval_rejects_model_other_than_chat_model(fixtures_dir, tmp_path,
     assert mock_api.request_count() == 0
 
 
+def test_offline_flag_keeps_an_online_benchmark_offline(fixtures_dir, tmp_path, mock_api,
+                                                       capsys):
+    write_bench_cfg(tmp_path / "bench.cfg", fixtures_dir, offline="false")
+    tool = tmp_path / "tool.cfg"
+    tool.write_text(f"chat_base_url = {mock_api.base_url}\n"
+                    f"embed_base_url = {mock_api.base_url}\n")
+    code, _, err = run_cli(capsys, "eval", "--config", str(tmp_path / "bench.cfg"),
+                           "--tool-config", str(tool), "--offline",
+                           "--run-dir", str(tmp_path / "runs"))
+    assert code == 0, err
+    assert mock_api.request_count() == 0
+    for run in ("baseline", "deo", "avg_only", "rrf_only"):
+        assert ((tmp_path / "runs" / f"{run}.run").read_bytes()
+                == (fixtures_dir / "golden" / "runs" / f"{run}.run").read_bytes())
+
+
 # -- decompose / ingest over the mock endpoint --------------------------------
 
 
@@ -567,6 +603,20 @@ def write_tool_cfg(tmp_path, api, extra=""):
         + extra
     )
     return cfg
+
+
+def test_bad_tool_config_value_fails_before_any_request(tmp_path, mock_api, capsys):
+    cfg = tmp_path / "tool.cfg"
+    cfg.write_text(f"chat_base_url = {mock_api.base_url}\nmax_retries = -1\n")
+    write_queries(tmp_path / "q.jsonl", [("q1", "first")])
+    code, _, err = run_cli(capsys, "decompose", "--config", str(cfg),
+                           "--queries", str(tmp_path / "q.jsonl"),
+                           "--cache", str(tmp_path / "cache.jsonl"))
+    assert code == 1
+    diag = json.loads(err.strip())
+    assert diag["error"] == "ConfigError"
+    assert str(cfg) in diag["message"] and "max_retries must be >= 0" in diag["message"]
+    assert mock_api.request_count() == 0
 
 
 def test_decompose_populates_cache(tmp_path, mock_api, capsys):

@@ -73,6 +73,19 @@ def test_tool_config_rejects_unknown_and_bad_values(tmp_path):
         ToolConfig.from_mapping({"optimizer": "x"})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_retries", "-1"),
+    ("max_subqueries", "0"),
+    ("batch_size", "0"),
+    ("concurrency", "0"),
+    ("timeout", "0"),
+    ("timeout", "-2.5"),
+])
+def test_tool_config_rejects_values_that_break_later(key, value):
+    with pytest.raises(ConfigError, match=f"<config>: {key} must be"):
+        ToolConfig.from_mapping({key: value})
+
+
 def test_tool_config_presets():
     cfg = ToolConfig(optimizer=OptimizationConfig(lambda_o=0.5, steps=3))
     assert cfg.with_preset("text").optimizer == OptimizationConfig(lambda_o=0.2, steps=3)

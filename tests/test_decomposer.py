@@ -198,6 +198,22 @@ def test_cache_lookup_any_model(tmp_path):
     assert cache.lookup("q text", "other") is None
 
 
+def test_cache_keeps_first_seen_order(tmp_path):
+    # a key seen again replaces its entry in place: flush, entries() and the
+    # any-model lookup all follow the order keys first appeared in
+    path = tmp_path / "c.jsonl"
+    rows = [entry("a", "m1"), entry("b", "m1"), entry("a", "m2"), entry("a", "m1", qid="q9")]
+    path.write_text("".join(json.dumps(row.to_cache_obj()) + "\n" for row in rows))
+    cache = DecompositionCache(path)
+    assert [(e.original, e.model, e.query_id) for e in cache.entries()] == [
+        ("a", "m1", "q9"), ("b", "m1", "q1"), ("a", "m2", "q1")]
+    assert cache.lookup("a").model == "m1"
+    cache.put(entry("b", "m1", qid="q7"), flush=False)
+    cache.put(entry("c", "m1"))
+    assert [json.loads(line)["query_id"] for line in path.read_text().splitlines()] == [
+        "q9", "q7", "q1", "q1"]
+
+
 def test_cache_rejects_malformed_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"nope": true}\n')

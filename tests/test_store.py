@@ -184,6 +184,17 @@ def test_binary_rejects_bad_magic_and_truncation(tmp_path):
         EmbeddingStore.load_binary(trailing)
 
 
+def test_binary_duplicate_id_names_the_record(tmp_path):
+    store = EmbeddingStore(dim=2)
+    store.add("ab", [1.0, 2.0])
+    store.add("cd", [3.0, 4.0])
+    path = tmp_path / "dup.bin"
+    store.save_binary(path)
+    path.write_bytes(path.read_bytes().replace(b"cd", b"ab"))
+    with pytest.raises(FormatError, match="dup.bin: duplicate id 'ab' in record 1"):
+        EmbeddingStore.load_binary(path)
+
+
 @st.composite
 def binary_stores(draw):
     """Stores of 0-6 records with dim 1-5, ids of multi-byte UTF-8 (empty

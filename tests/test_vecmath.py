@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ def test_pca_variance_sorted_descending():
 
 
 def test_pca_gram_trick_matches_direct_eigendecomposition():
-    """d > 512 routes through the Gram matrix; results must match the
+    """n < d routes through the Gram matrix; results must match the
     covariance path."""
     rng = np.random.default_rng(17)
     d, n = 600, 12
@@ -156,6 +157,32 @@ def test_pca_rank_deficient_completion():
     assert abs(float(basis.components[0] @ basis.components[1])) < 1e-10
     assert math.isclose(float(np.linalg.norm(basis.components[1])), 1.0, abs_tol=1e-12)
     assert basis.explained_variance[1] == pytest.approx(0.0, abs=1e-10)
+
+
+def test_pca_gram_route_completes_with_standard_basis_axes():
+    # three points span a plane; n_components = n needs a third axis, taken
+    # from the standard basis (e3, as e1 and e2 lie in the plane), with zero
+    # variance
+    corpus = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    basis = pca_fit(corpus, 3)
+    assert np.allclose(basis.components @ basis.components.T, np.eye(3), atol=1e-12)
+    assert np.array_equal(basis.components[2], [0.0, 0.0, 1.0, 0.0])
+    assert basis.explained_variance[2] == 0.0
+    assert basis.explained_variance[0] > basis.explained_variance[1] > 0.0
+
+
+def test_pca_tall_corpus_stays_small():
+    # n > d takes the d x d covariance: one centered copy of the corpus plus
+    # d x d matrices, where an n x n Gram matrix alone would take 30.5 MiB
+    corpus = np.random.default_rng(23).normal(size=(2000, 600))
+    tracemalloc.start()
+    try:
+        basis = pca_fit(corpus, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.components.shape == (2, 600)
+    assert peak < 2 * corpus.nbytes
 
 
 def test_pca_project_requires_matching_dim():
