@@ -226,10 +226,11 @@ def test_resolver_online_memoizes():
     np.testing.assert_array_equal(pipeline._vector("t"), v2)
 
 
-def test_prefetch_fetches_what_the_store_lacks(tmp_path):
-    # the store is read by id, then by text (an ad-hoc query is its own id);
-    # only what it lacks goes to the endpoint, and a text shared by two
-    # queries once
+@pytest.mark.parametrize("by_id, fetched", [(True, ["new"]), (False, ["unknown", "new"])])
+def test_prefetch_fetches_what_the_store_lacks(tmp_path, by_id, fetched):
+    # the store is read by id, then by text; an ad-hoc query (not by_id) is
+    # its own id. Only what the store lacks goes to the endpoint, and a text
+    # shared by two queries once
     store = EmbeddingStore(dim=4)
     for key in ("q1", "alpha only", "alpha things"):
         store.add(key, DOCS["d_gamma"])
@@ -238,12 +239,12 @@ def test_prefetch_fetches_what_the_store_lacks(tmp_path):
     client = CountingEmbedClient()
     pipeline = QueryPipeline(str(tmp_path / "q.emb.jsonl"), str(tmp_path / "cache.jsonl"),
                              embed_client=client, batch_size=2)
-    pipeline._prefetch([("q1", "unknown"), ("q2", "alpha only"), ("q3", "new"),
-                        ("q4", "new"), ("alpha only", "alpha only"), ("other", "other")],
-                       subqueries=False)
+    pairs = [("q1", "unknown"), ("q2", "alpha only"), ("q3", "new"), ("q4", "new")]
     text = CACHE_ROWS[0]["query"]
-    pipeline._prefetch([(text, text)])
-    assert client.batches == [["new", "other"], [text, "beta things"]]
+    pairs, last = (pairs, ("q0", text)) if by_id else ([(t, t) for _, t in pairs], (text, text))
+    pipeline._prefetch(pairs, subqueries=False)
+    pipeline._prefetch([last])
+    assert client.batches == [fetched, [text, "beta things"]]
 
 
 def test_resolver_offline_ignores_client(tmp_path):
