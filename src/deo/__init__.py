@@ -43,11 +43,9 @@ from .errors import (
 )
 from .index import FlatIndex, RankedList, fuse_mean, rrf_fuse, write_trec_run
 from .metrics import (
-    PairwiseInstance,
     average_precision_at_k,
     load_qrels,
     ndcg_at_k,
-    pairwise_score,
     recall_at_k,
 )
 from .optimizer import (
@@ -65,11 +63,9 @@ from .optimizer import (
 from .store import EmbeddingStore, IngestReport, embed_texts, ingest_corpus, load_store, save_store
 from .vecmath import (
     PcaBasis,
-    cosine_similarity,
     l2_normalize,
     pca_fit,
     pca_project,
-    squared_euclidean,
 )
 
 __version__ = "0.1.0"

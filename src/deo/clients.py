@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import requests
 
 from .errors import EmptyInputError, TransportError
+from .ioutil import loads
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +63,7 @@ def _post_with_retries(cfg: ClientConfig, path: str, payload: dict, sleep=time.s
         else:
             if response.status_code == 200:
                 try:
-                    return response.json()
+                    return loads(response.content)
                 except ValueError as exc:
                     raise TransportError(f"{url}: non-JSON 200 response ({exc})") from exc
             last_error = f"HTTP {response.status_code}"

@@ -6,6 +6,8 @@ import json
 import os
 import tempfile
 
+import orjson
+
 from .errors import DuplicateIdError, FormatError
 
 # mkstemp forces 0600; written files should honor the process umask instead
@@ -38,6 +40,32 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+# orjson reads an integer wider than 64 bits as a float where json keeps it
+# exact. Mapping digits to "0", the characters that lead into a fraction or
+# an exponent to "." and everything else to " " makes an integer token of 19
+# or more digits show as " " followed by 19 zeros, or open the text.
+_NUMBER_SHAPE = bytes(48 if 48 <= c <= 57 else 46 if c in b".eE+" else 32 for c in range(256))
+_WIDE = b"0" * 19
+
+
+def loads(data: str | bytes):
+    """json.loads, at orjson's speed wherever orjson gives the same value.
+
+    orjson rejects NaN/Infinity, numbers beyond float range and lone
+    surrogates, and reads integers wider than 64 bits as floats; such texts
+    go to the stdlib, as does bad JSON, which then fails with the stdlib's
+    diagnostics.
+    """
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    shape = raw.translate(_NUMBER_SHAPE)
+    if not (shape.startswith(_WIDE) or b" " + _WIDE in shape):
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(data)
+
+
 def read_jsonl(path):
     """Yield (lineno, object) for every non-blank line; malformed JSON raises
     FormatError naming the file and line."""
@@ -47,7 +75,7 @@ def read_jsonl(path):
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                yield lineno, loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
 

@@ -1,4 +1,4 @@
-"""Ranking-quality metrics: nDCG, MAP, recall, and paired-query accuracy.
+"""Ranking-quality metrics: nDCG, MAP and recall.
 
 Relevance is binary throughout: a judgment > 0 counts as relevant and
 contributes gain 1. Queries with no relevant documents score 0 rather than
@@ -8,7 +8,6 @@ raising; callers decide whether to exclude them from aggregates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import FormatError
 from .index import RankedList
@@ -97,42 +96,3 @@ def mean_over_queries(per_query: dict[str, float]) -> float:
         return 0.0
     return sum(per_query.values()) / len(per_query)
 
-
-@dataclass(frozen=True)
-class PairwiseInstance:
-    """Two contrasting queries over a shared document pair.
-
-    doc_for_a is relevant to query A only, doc_for_b to query B only.
-    """
-
-    query_a_id: str
-    query_a_text: str
-    query_b_id: str
-    query_b_text: str
-    doc_for_a: str
-    doc_for_b: str
-
-    def __post_init__(self) -> None:
-        if self.doc_for_a == self.doc_for_b:
-            raise ValueError("the two documents of a pairwise instance must differ")
-
-
-def pairwise_score(instances, scorer) -> float:
-    """Fraction of instances solved under strict double correctness.
-
-    scorer(query_text, doc_id) returns a similarity. An instance counts only
-    if query A scores its own document strictly above the other AND query B
-    does the same; any tie fails the instance.
-    """
-    instances = list(instances)
-    if not instances:
-        return 0.0
-    solved = 0
-    for inst in instances:
-        a_own = scorer(inst.query_a_text, inst.doc_for_a)
-        a_other = scorer(inst.query_a_text, inst.doc_for_b)
-        b_own = scorer(inst.query_b_text, inst.doc_for_b)
-        b_other = scorer(inst.query_b_text, inst.doc_for_a)
-        if a_own > a_other and b_own > b_other:
-            solved += 1
-    return solved / len(instances)

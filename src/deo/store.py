@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError, FormatError
 from .ioutil import atomic_write_bytes, read_jsonl
@@ -90,21 +91,26 @@ class EmbeddingStore:
     # -- JSONL ---------------------------------------------------------
 
     def save_jsonl(self, path) -> None:
-        buf = io.StringIO()
+        """Write each finite row as its shortest float32 text, which reads
+        back as the same float32; rows with NaN or inf keep json's tokens,
+        since orjson would write them as null."""
         header = {
             "format": JSONL_FORMAT_NAME,
             "version": JSONL_FORMAT_VERSION,
             "dim": self.dim,
             "model": self.model,
         }
-        buf.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for record_id, vec in zip(self._ids, self._vectors):
-            line = json.dumps(
-                {"id": record_id, "vector": [float(x) for x in vec]},
-                separators=(",", ":"),
-            )
-            buf.write(line + "\n")
-        atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+        lines = [json.dumps(header, separators=(",", ":")).encode()]
+        finite = np.isfinite(self.matrix).all(axis=1)
+        for record_id, vec, ok in zip(self._ids, self._vectors, finite):
+            if ok:
+                vector = orjson.dumps(vec, option=orjson.OPT_SERIALIZE_NUMPY)
+            else:
+                vector = json.dumps([float(x) for x in vec], separators=(",", ":")).encode()
+            # json.dumps escapes lone surrogates in ids, which orjson refuses
+            lines.append(b'{"id":%s,"vector":%s}' % (json.dumps(record_id).encode(), vector))
+        lines.append(b"")
+        atomic_write_bytes(path, b"\n".join(lines))
 
     @classmethod
     def load_jsonl(cls, path) -> "EmbeddingStore":

@@ -1,4 +1,4 @@
-"""Vector primitives shared by every stage: norms, similarity, distances, PCA.
+"""Vector primitives shared by every stage: coercion, normalization, PCA.
 
 All arithmetic runs in float64 regardless of how vectors are stored on disk.
 """
@@ -24,13 +24,6 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
-def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
-
-
 def l2_normalize(v) -> np.ndarray:
     """Return v scaled to unit L2 norm.
 
@@ -41,28 +34,6 @@ def l2_normalize(v) -> np.ndarray:
     if norm <= ZERO_NORM_EPS:
         raise ZeroVectorError(f"cannot normalize a vector with norm {norm:g}")
     return arr / norm
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between a and b, clamped to [-1, 1].
-
-    Both vectors must be non-zero and share a dimension.
-    """
-    va, vb = as_vector(a), as_vector(b)
-    _require_same_dim(va, vb)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na <= ZERO_NORM_EPS or nb <= ZERO_NORM_EPS:
-        raise ZeroVectorError("cosine similarity is undefined for zero vectors")
-    return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
-
-
-def squared_euclidean(a, b) -> float:
-    """Squared L2 distance between a and b."""
-    va, vb = as_vector(a), as_vector(b)
-    _require_same_dim(va, vb)
-    diff = va - vb
-    return float(np.dot(diff, diff))
 
 
 @dataclass(frozen=True)

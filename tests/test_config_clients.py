@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 
 from deo.clients import ChatClient, ClientConfig, EmbeddingClient, _post_with_retries
@@ -212,6 +215,7 @@ class StubResponse:
         self.status_code = 200
         self.text = "stub"
         self._body = body
+        self.content = json.dumps(body).encode()
 
     def json(self):
         return self._body
@@ -231,3 +235,20 @@ def test_embed_count_mismatch(monkeypatch):
     client = EmbeddingClient(ClientConfig(max_retries=0), sleep=lambda s: None)
     with pytest.raises(TransportError, match="1 vectors for 2"):
         client.embed(["a", "b"])
+
+
+def test_nan_in_a_200_body_still_parses(monkeypatch):
+    monkeypatch.setattr("deo.clients.requests.post",
+                        lambda *a, **k: StubResponse({"data": [{"embedding": [float("nan"), 1.0]}]}))
+    client = EmbeddingClient(ClientConfig(max_retries=0), sleep=lambda s: None)
+    [vector] = client.embed(["a"])
+    assert math.isnan(vector[0]) and vector[1] == 1.0
+
+
+def test_non_json_200_body_is_transport_error(monkeypatch):
+    response = StubResponse(None)
+    response.content = b"<html>upstream proxy page</html>"
+    monkeypatch.setattr("deo.clients.requests.post", lambda *a, **k: response)
+    client = EmbeddingClient(ClientConfig(max_retries=0), sleep=lambda s: None)
+    with pytest.raises(TransportError, match="non-JSON 200 response"):
+        client.embed(["a"])

@@ -1,0 +1,94 @@
+import json
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from deo.errors import FormatError
+from deo.ioutil import load_texts_jsonl, loads
+
+# every character, lone surrogates included
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(ANY_TEXT, children, max_size=4),
+    max_leaves=16,
+)
+
+# number tokens beyond what json.dumps writes: long integers and mantissas,
+# leading-zero fractions, wide exponents
+NUMBER_TOKENS = st.from_regex(
+    r"-?(0|[1-9][0-9]{0,40})(\.[0-9]{1,40})?([eE][+-]?[0-9]{1,5})?", fullmatch=True
+)
+
+
+def same_json(a, b) -> bool:
+    """Equality that tells int from float and -0.0 from 0.0, and NaN == NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[key], b[key]) for key in a)
+    return a == b
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(JSON_VALUES, st.booleans())
+@example(2**64, True)
+@example(-(2**63) - 1, True)
+@example(10**40, True)
+@example({"id": "\ud800", "v": [float("nan"), float("inf"), -0.0]}, True)
+def test_loads_equals_json_loads(value, ensure_ascii):
+    text = json.dumps(value, allow_nan=True, ensure_ascii=ensure_ascii)
+    assert same_json(loads(text), json.loads(text))
+    if ensure_ascii:  # response bodies arrive as bytes
+        assert same_json(loads(text.encode()), json.loads(text))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(NUMBER_TOKENS)
+@example("12345678901234567890123")
+@example("-9223372036854775809")
+@example("18446744073709551616")
+@example("1e400")
+@example("[1,-12345678901234567890]")
+def test_loads_reads_numbers_like_json_loads(token):
+    assert same_json(loads(token), json.loads(token))
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ('{"id": "q0", "text": "ok"}\n{"id": "a", "text": tru}\n', 2, "invalid JSON (Expecting value)"),
+    ('{"id": "q0", "text": "ok"}\n{"id": "a", "text": "b"\n', 2,
+     "invalid JSON (Expecting ',' delimiter)"),
+    ('\ufeff{"id": "q0", "text": "ok"}\n', 1,
+     "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    ('{"id": "q0", "text": "ok"}\n{"id": "q1", "text": "a", "text": 5}\n', 2,
+     "'id' must be a string or an integer and 'text' a string"),
+    ('{"id": "q0", "text": "ok"}\n{"id": "q1", "text": NaN}\n', 2,
+     "'id' must be a string or an integer and 'text' a string"),
+    ('{"id": "q0", "text": "ok"}\n{"id": "q1", "text": "a"} x\n', 2, "invalid JSON (Extra data)"),
+    ('{"id": "q0", "text": "ok"}\n{"id": "q1", "text": "a\x01"}\n', 2,
+     "invalid JSON (Invalid control character at)"),
+])
+def test_read_jsonl_diagnostics_are_the_stdlibs(tmp_path, text, lineno, message):
+    path = tmp_path / "queries.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        load_texts_jsonl(path)
+    assert str(info.value) == f"{path}:{lineno}: {message}"
+
+
+def test_read_jsonl_keeps_wide_integers_and_lone_surrogates(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    path.write_text('{"id": 123456789012345678901234567890, "text": "a"}\n'
+                    '{"id": "\\ud800", "text": "b"}\n'
+                    '{"id": -9223372036854775809, "text": "c"}\n'
+                    '{"id": "q", "text": "a", "text": "d"}\n')
+    assert load_texts_jsonl(path) == {"123456789012345678901234567890": "a", "\ud800": "b",
+                                      "-9223372036854775809": "c", "q": "d"}

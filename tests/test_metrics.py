@@ -1,18 +1,15 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from deo.errors import FormatError
 from deo.index import RankedList
 from deo.metrics import (
-    PairwiseInstance,
     average_precision_at_k,
     load_qrels,
     mean_over_queries,
     ndcg_at_k,
-    pairwise_score,
     recall_at_k,
 )
 
@@ -130,93 +127,3 @@ def test_mean_over_queries():
     assert mean_over_queries({}) == 0.0
     assert mean_over_queries({"a": 1.0, "b": 0.0}) == 0.5
 
-
-# -- pairwise -------------------------------------------------------------
-
-
-def make_instance():
-    return PairwiseInstance(
-        query_a_id="qa",
-        query_a_text="first query",
-        query_b_id="qb",
-        query_b_text="second query",
-        doc_for_a="dA",
-        doc_for_b="dB",
-    )
-
-
-def test_pairwise_instance_requires_distinct_docs():
-    with pytest.raises(ValueError):
-        PairwiseInstance("qa", "a", "qb", "b", "same", "same")
-
-
-def test_pairwise_perfect_and_inverted():
-    inst = make_instance()
-    own = {("first query", "dA"), ("second query", "dB")}
-
-    def perfect(query, doc):
-        return 1.0 if (query, doc) in own else 0.0
-
-    def inverted(query, doc):
-        return -perfect(query, doc)
-
-    assert pairwise_score([inst], perfect) == 1.0
-    assert pairwise_score([inst], inverted) == 0.0
-
-
-def test_pairwise_tie_fails():
-    inst = make_instance()
-
-    def tied(query, doc):
-        if query == "first query":
-            return 0.5  # A cannot separate the pair
-        return 1.0 if doc == "dB" else 0.0
-
-    assert pairwise_score([inst], tied) == 0.0
-
-
-def test_pairwise_half_correct():
-    inst = make_instance()
-
-    def one_sided(query, doc):
-        if query == "first query":
-            return 1.0 if doc == "dA" else 0.0
-        return 1.0 if doc == "dA" else 0.0  # B prefers the wrong doc
-
-    assert pairwise_score([inst], one_sided) == 0.0
-
-
-def test_pairwise_empty_and_fraction():
-    assert pairwise_score([], lambda q, d: 0.0) == 0.0
-    instances = [make_instance(), make_instance()]
-
-    calls = {"n": 0}
-
-    def alternating(query, doc):
-        # first instance solved, second not: queries are interleaved so key
-        # off a counter of A-side queries
-        calls["n"] += 1
-        first_instance = calls["n"] <= 4
-        if first_instance:
-            return 1.0 if doc in ("dA",) and query == "first query" or (
-                doc == "dB" and query == "second query"
-            ) else 0.0
-        return 0.0
-
-    assert pairwise_score(instances, alternating) == 0.5
-
-
-def test_pairwise_scorer_with_embeddings():
-    # cosine scorer over tiny vectors behaves like a retrieval system
-    vecs = {
-        "first query": np.array([1.0, 0.0]),
-        "second query": np.array([0.0, 1.0]),
-        "dA": np.array([0.9, 0.1]),
-        "dB": np.array([0.1, 0.9]),
-    }
-
-    def scorer(query, doc):
-        a, b = vecs[query], vecs[doc]
-        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-    assert pairwise_score([make_instance()], scorer) == 1.0

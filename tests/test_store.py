@@ -220,6 +220,53 @@ def test_binary_roundtrip_property(tmp_path_factory, store):
     assert loaded.matrix.tobytes() == store.matrix.tobytes()
 
 
+FLT_MAX = float(np.finfo(np.float32).max)
+SPECIAL_FLOAT32 = [0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, FLT_MAX, -FLT_MAX,
+                   float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def jsonl_stores(draw):
+    """Stores of 0-6 records with dim 1-8, ids of multi-byte UTF-8, empty and
+    lone surrogates, and float32 components mixing -0.0, subnormals,
+    +-FLT_MAX, +-inf and NaN with arbitrary bit patterns."""
+    dim = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.text(st.characters(exclude_categories=()), max_size=6),
+                        max_size=6, unique=True))
+    component = st.one_of(
+        st.sampled_from(SPECIAL_FLOAT32),
+        st.integers(0, 2**32 - 1).map(lambda b: float(np.array(b, dtype=np.uint32).view(np.float32))),
+    )
+    store = EmbeddingStore(dim=dim)
+    for record_id in ids:
+        store.add(record_id, draw(st.lists(component, min_size=dim, max_size=dim)))
+    return store
+
+
+def same_float32(a, b) -> bool:
+    """Bit equality of two float32 arrays, any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=np.float32), np.asarray(b, dtype=np.float32)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(jsonl_stores())
+@example(EmbeddingStore(dim=1))
+def test_jsonl_roundtrip_property(tmp_path_factory, store):
+    path = tmp_path_factory.mktemp("rt") / "s.jsonl"
+    store.save_jsonl(path)
+    loaded = load_store(path)
+    assert (loaded.dim, loaded.ids) == (store.dim, store.ids)
+    assert loaded.matrix.dtype == np.float32 and same_float32(loaded.matrix, store.matrix)
+    # every line also reads back through the stdlib alone
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == len(store)
+    for line, record_id, row in zip(lines, store.ids, store.matrix):
+        obj = json.loads(line)
+        assert obj["id"] == record_id and same_float32(obj["vector"], row)
+
+
 def test_binary_truncated_at_every_length_is_a_format_error(tmp_path):
     store = EmbeddingStore(dim=3)
     for i, record_id in enumerate(["a", "ü-doc", "", "文書"]):

@@ -8,11 +8,9 @@ from deo.errors import DimensionMismatchError, InsufficientDataError, ZeroVector
 from deo.vecmath import (
     PcaBasis,
     as_vector,
-    cosine_similarity,
     l2_normalize,
     pca_fit,
     pca_project,
-    squared_euclidean,
 )
 
 
@@ -43,20 +41,6 @@ def test_l2_normalize_zero_vector_raises():
         l2_normalize(np.zeros(4))
     with pytest.raises(ZeroVectorError):
         l2_normalize(np.full(4, 1e-13))
-
-
-def test_cosine_similarity_basic():
-    assert cosine_similarity([1, 0], [0, 1]) == 0.0
-    assert math.isclose(cosine_similarity([1, 0], [1, 0]), 1.0)
-    assert math.isclose(cosine_similarity([1, 0], [-1, 0]), -1.0)
-    # result stays clamped even with rounding
-    v = np.array([1e-8, 1.0])
-    assert -1.0 <= cosine_similarity(v, v) <= 1.0
-
-
-def test_squared_euclidean():
-    assert squared_euclidean([1, 0], [0, 1]) == 2.0
-    assert squared_euclidean([2, 2], [2, 2]) == 0.0
 
 
 def test_pca_needs_two_points():
