@@ -30,7 +30,6 @@ from .errors import (
     DimensionMismatchError,
     DuplicateIdError,
     EmptyInputError,
-    EmptyQueryError,
     FormatError,
     InsufficientDataError,
     MissingDecompositionError,
@@ -41,7 +40,7 @@ from .errors import (
     TransportError,
     ZeroVectorError,
 )
-from .index import FlatIndex, RankedList, fuse_mean, rrf_fuse, write_trec_run
+from .index import FlatIndex, RankedList, rrf_fuse, write_trec_run
 from .metrics import (
     average_precision_at_k,
     load_qrels,

@@ -35,7 +35,7 @@ from .errors import (
     MissingDecompositionError,
     MissingEmbeddingError,
 )
-from .index import FlatIndex, RankedList, fuse_mean, rrf_fuse, write_trec_run
+from .index import FlatIndex, RankedList, rrf_fuse, write_trec_run
 from .ioutil import atomic_write_text, load_texts_jsonl
 from .metrics import (
     Qrels,
@@ -289,15 +289,14 @@ class QueryPipeline:
                     elif system == "deo":
                         found = [next(optimized)]
                     else:
-                        inputs = self._inputs(query_id, text)
-                        subs = [*inputs.positives, *inputs.negatives]
+                        rows = self._inputs(query_id, text).rows
                         if system == "avg_only":
-                            found = [fuse_mean([inputs.original, *subs])]
-                        elif subs:
-                            found, fused = subs, True
+                            found = [rows.mean(axis=0)]
+                        elif len(rows) > 1:
+                            found, fused = rows[1:], True
                         else:
                             # nothing to fuse; degrade to the plain query
-                            found = [inputs.original]
+                            found = rows
                     groups.append((len(found), fused))
                     yield from found
 

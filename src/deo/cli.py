@@ -67,7 +67,7 @@ def _pipeline(args, cfg: ToolConfig) -> benchmark.QueryPipeline:
 
 
 def cmd_decompose(args) -> int:
-    cfg = _tool_config(args.config, args.preset)
+    cfg = _tool_config(args.config)
     queries = load_texts_jsonl(args.queries)
     cache = DecompositionCache(args.cache)
     before = len(cache)
@@ -85,7 +85,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    cfg = _tool_config(args.config, args.preset)
+    cfg = _tool_config(args.config)
     texts = load_texts_jsonl(args.docs)
     client = _embed_client(cfg)
     report, _ = ingest_corpus(
@@ -220,19 +220,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, preset: bool = True) -> None:
         p.add_argument("--config", help="flat key = value tool config file")
-        p.add_argument("--preset", choices=tuple(PRESETS),
-                       help="loss-weight preset")
+        if preset:
+            p.add_argument("--preset", choices=tuple(PRESETS), help="loss-weight preset")
 
     p = sub.add_parser("decompose", help="queries file -> decomposition cache")
-    common(p)
+    common(p, preset=False)
     p.add_argument("--queries", required=True, help="JSONL {id, text} queries file")
     p.add_argument("--cache", required=True, help="output decomposition cache (JSONL)")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("ingest", help="docs file -> embedding store")
-    common(p)
+    common(p, preset=False)
     p.add_argument("--docs", required=True, help="JSONL {id, text} documents file")
     p.add_argument("--out", required=True, help="output embedding store path")
     p.add_argument("--format", choices=("jsonl", "binary"), default="jsonl")
@@ -241,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("index", help="validate a store builds a searchable index")
-    common(p)
     p.add_argument("--store", required=True, help="embedding store path")
     p.set_defaults(func=cmd_index)
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 import io
 import json
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .errors import EmptyQueryError, FormatError, ParseError
+from .errors import EmptyInputError, FormatError, ParseError
 from .ioutil import atomic_write_bytes, read_jsonl
 
 DEFAULT_MAX_SUBQUERIES = 8
@@ -53,8 +52,6 @@ class DecomposedQuery:
     positives: tuple[str, ...]
     negatives: tuple[str, ...]
     model: str = ""
-    latency_ms: float = 0.0
-    retries: int = 0
 
     def to_cache_obj(self) -> dict:
         return {
@@ -72,7 +69,7 @@ def build_decomposition_prompt(query: str) -> str:
     The raw query appears verbatim exactly once, on the final line.
     """
     if not query or not query.strip():
-        raise EmptyQueryError("cannot decompose an empty query")
+        raise EmptyInputError("cannot decompose an empty query")
     example = json.dumps(_EXAMPLE_RESPONSE, indent=2)
     return (
         "You split document-search queries into positive and negative sub-queries.\n"
@@ -163,32 +160,22 @@ def decompose(
     query itself, no negatives), so only transport problems raise.
     """
     prompt = build_decomposition_prompt(query)
-    started = time.monotonic()
-    retries = 0
-    positives: tuple[str, ...] | None = None
-    negatives: tuple[str, ...] = ()
-    for attempt, attempt_prompt in enumerate((prompt, prompt + "\n\n" + _FORMAT_REMINDER)):
+    for attempt_prompt in (prompt, prompt + "\n\n" + _FORMAT_REMINDER):
         response = client.complete(attempt_prompt)
         try:
             positives, negatives = parse_decomposition_response(response, max_subqueries)
             break
         except ParseError:
-            retries = attempt + 1
-    latency_ms = (time.monotonic() - started) * 1000.0
-    if positives is None:
+            continue
+    else:
         # identity fallback keeps the pipeline running on garbage output
         positives, negatives = (query,), ()
-        retries = 1
-    else:
-        retries = min(retries, 1)
     return DecomposedQuery(
         query_id=query_id,
         original=query,
         positives=positives,
         negatives=negatives,
         model=getattr(client, "model", ""),
-        latency_ms=latency_ms,
-        retries=retries,
     )
 
 

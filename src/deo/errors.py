@@ -21,10 +21,6 @@ class NotStronglyConvexError(DeoError):
     """The contrastive objective has no finite minimizer for these weights."""
 
 
-class EmptyQueryError(DeoError):
-    """Query text is empty or whitespace-only."""
-
-
 class ParseError(DeoError):
     """Model output could not be parsed into a decomposition."""
 

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError, ZeroVectorError
+from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError
 from .ioutil import atomic_write_text
-from .vecmath import ZERO_NORM_EPS, as_vector, l2_normalize
+from .vecmath import l2_normalize, row_norms
 
 # Queries scored per matrix product in FlatIndex.search_many.
 SEARCH_BLOCK = 64
-# Rows whose norms FlatIndex.from_matrix computes per stacked product.
-NORM_CHUNK = 1024
 # A float32 corpus with a row norm above this is screened in float64, because
 # a float32 product of that row with a unit query could overflow.
 FLOAT32_SCREEN_MAX_NORM = float(np.finfo(np.float32).max) / 2
@@ -98,10 +96,9 @@ class FlatIndex:
         A read-only float32 ndarray (EmbeddingStore.matrix) is kept in place,
         so it must not change afterwards; any other input is copied once, as
         float32 if it is float32 and as float64 otherwise. Rows are scored as
-        if unit-normalized with the arithmetic of l2_normalize. Duplicate ids
-        raise DuplicateIdError, a NaN or Inf component (or a float64 norm that
-        overflows) ValueError and a zero row ZeroVectorError, each naming the
-        doc.
+        if divided by their row_norms, as l2_normalize divides one vector.
+        Duplicate ids raise DuplicateIdError; the first bad row raises as in
+        row_norms, naming its doc.
         """
         doc_ids = list(doc_ids)
         if not doc_ids:
@@ -115,26 +112,7 @@ class FlatIndex:
             raise DimensionMismatchError(
                 f"expected an ({len(doc_ids)}, d) matrix, got shape {matrix.shape}"
             )
-        norms = np.empty(len(doc_ids))
-        for start in range(0, len(doc_ids), NORM_CHUNK):
-            rows = matrix[start : start + NORM_CHUNK].astype(np.float64, copy=False)
-            # a stack of row @ row, the dot product np.linalg.norm takes for
-            # one vector, so each row gets the norm l2_normalize would give it
-            with np.errstate(over="ignore"):  # an overflow is reported below
-                squares = np.matmul(rows[:, None, :], rows[:, :, None])
-            norms[start : start + len(rows)] = squares[:, 0, 0]
-        np.sqrt(norms, out=norms)
-        # a NaN or Inf component makes its row's sum of squares NaN or Inf
-        finite = np.isfinite(norms)
-        if not finite.all():
-            doc_id = doc_ids[int(np.argmin(finite))]
-            raise ValueError(f"doc {doc_id!r} has NaN or Inf components or an infinite norm")
-        zero = norms <= ZERO_NORM_EPS
-        if zero.any():
-            pos = int(np.argmax(zero))
-            raise ZeroVectorError(
-                f"doc {doc_ids[pos]!r} has norm {norms[pos]:g} and cannot be normalized"
-            )
+        norms = row_norms(matrix, lambda i: f"doc {doc_ids[i]!r}")
         if matrix.dtype == np.float32 and norms.max() > FLOAT32_SCREEN_MAX_NORM:
             # a float32 product with such a row could overflow; screen in float64
             matrix = matrix.astype(np.float64)
@@ -224,18 +202,6 @@ class FlatIndex:
             doc_ids=tuple(self._doc_ids[i] for i in candidates[order]),
             scores=tuple(scores[order].tolist()),
         )
-
-
-def fuse_mean(vectors) -> np.ndarray:
-    """Element-wise mean of the given vectors (simple embedding fusion)."""
-    rows = [as_vector(v) for v in vectors]
-    if not rows:
-        raise EmptyInputError("fuse_mean requires at least one vector")
-    dim = rows[0].shape[0]
-    for r in rows[1:]:
-        if r.shape[0] != dim:
-            raise DimensionMismatchError("fuse_mean inputs must share one dimension")
-    return np.stack(rows).mean(axis=0)
 
 
 def rrf_fuse(ranked_lists, k: int = 10, k_rrf: float = 60.0) -> RankedList:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NotStronglyConvexError
-from .vecmath import as_vector, l2_normalize
+from .vecmath import as_vector, row_norms
 
 logger = logging.getLogger(__name__)
 
@@ -64,64 +64,61 @@ PRESETS = {
 }
 
 
-def _as_matrix(vectors, dim: int, label: str) -> np.ndarray:
-    if len(vectors) == 0:
-        return np.zeros((0, dim))
-    rows = [as_vector(v) for v in vectors]
-    for r in rows:
-        if r.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"{label} vector has dimension {r.shape[0]}, expected {dim}"
-            )
-    return np.stack(rows)
-
-
 @dataclass(frozen=True)
 class DecompositionEmbeddings:
-    """Embedded decomposition of one query.
+    """Embedded decomposition of one query, stacked as one (1 + K + M, d)
+    matrix: the raw query's embedding, then K >= 0 positive and M >= 0
+    negative sub-query embeddings.
 
-    original  -- (d,) embedding of the raw query
-    positives -- (K, d) embeddings of positive sub-queries, K >= 0
-    negatives -- (M, d) embeddings of negative sub-queries, M >= 0
+    original  -- (d,) row 0
+    positives -- (K, d) rows 1 .. K
+    negatives -- (M, d) the rows after them
     """
 
-    original: np.ndarray
-    positives: np.ndarray
-    negatives: np.ndarray
+    rows: np.ndarray
+    num_positives: int
 
     @classmethod
     def from_vectors(cls, original, positives=(), negatives=()) -> "DecompositionEmbeddings":
         e_o = as_vector(original)
         d = e_o.shape[0]
-        return cls(
-            original=e_o,
-            positives=_as_matrix(list(positives), d, "positive"),
-            negatives=_as_matrix(list(negatives), d, "negative"),
-        )
+        blocks = []
+        for label, vectors in (("positive", positives), ("negative", negatives)):
+            block = [as_vector(v) for v in vectors]
+            for r in block:
+                if r.shape[0] != d:
+                    raise DimensionMismatchError(
+                        f"{label} vector has dimension {r.shape[0]}, expected {d}"
+                    )
+            blocks.append(block)
+        positives, negatives = blocks
+        return cls(np.stack([e_o, *positives, *negatives]), len(positives))
 
     @property
     def dim(self) -> int:
-        return self.original.shape[0]
-
-    @property
-    def num_positives(self) -> int:
-        return self.positives.shape[0]
+        return self.rows.shape[1]
 
     @property
     def num_negatives(self) -> int:
-        return self.negatives.shape[0]
+        return self.rows.shape[0] - 1 - self.num_positives
+
+    @property
+    def original(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def positives(self) -> np.ndarray:
+        return self.rows[1 : 1 + self.num_positives]
+
+    @property
+    def negatives(self) -> np.ndarray:
+        return self.rows[1 + self.num_positives :]
 
     def normalized(self) -> "DecompositionEmbeddings":
-        """Unit-normalize every vector; raises ZeroVectorError on zero rows."""
-        return DecompositionEmbeddings(
-            original=l2_normalize(self.original),
-            positives=np.stack([l2_normalize(p) for p in self.positives])
-            if self.num_positives
-            else self.positives,
-            negatives=np.stack([l2_normalize(n) for n in self.negatives])
-            if self.num_negatives
-            else self.negatives,
-        )
+        """Every row divided by its row_norms; raises ZeroVectorError on a
+        zero row and ValueError on an overflowing norm."""
+        return DecompositionEmbeddings(self.rows / row_norms(self.rows)[:, None],
+                                       self.num_positives)
 
 
 @dataclass(frozen=True)

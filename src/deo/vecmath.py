@@ -12,6 +12,8 @@ import numpy as np
 from .errors import DimensionMismatchError, InsufficientDataError, ZeroVectorError
 
 ZERO_NORM_EPS = 1e-12
+# Rows whose norms row_norms computes per stacked product.
+NORM_CHUNK = 1024
 
 
 def as_vector(v) -> np.ndarray:
@@ -24,16 +26,45 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
-def l2_normalize(v) -> np.ndarray:
-    """Return v scaled to unit L2 norm.
+def row_norms(matrix, describe=lambda i: f"row {i}") -> np.ndarray:
+    """Float64 L2 norm of each row of an (n, d) float32 or float64 matrix.
 
-    Raises ZeroVectorError when the norm is at or below 1e-12.
+    Each row gets the bits np.linalg.norm gives it as a float64 vector; this
+    is the one norm every unit vector in the package is divided by. The first
+    bad row in row order raises, named by describe(i): ValueError for a NaN
+    or Inf component or a norm that overflows float64, ZeroVectorError for a
+    norm at or below ZERO_NORM_EPS.
     """
-    arr = as_vector(v)
-    norm = float(np.linalg.norm(arr))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroVectorError(f"cannot normalize a vector with norm {norm:g}")
-    return arr / norm
+    norms = np.empty(len(matrix))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for start in range(0, len(matrix), NORM_CHUNK):
+            rows = matrix[start : start + NORM_CHUNK].astype(np.float64, copy=False)
+            # a stack of row @ row: the dot product np.linalg.norm takes for one vector
+            np.matmul(rows[:, None, :], rows[:, :, None],
+                      out=norms[start : start + len(rows), None, None])
+    np.sqrt(norms, out=norms)
+    # a NaN or Inf component makes its row's sum of squares NaN or Inf, and
+    # NaN fails every comparison
+    good = norms > ZERO_NORM_EPS
+    good &= norms < np.inf
+    if np.count_nonzero(good) < len(good):
+        i = int(np.argmin(good))
+        if not np.isfinite(norms[i]):
+            raise ValueError(f"{describe(i)} has NaN or Inf components or an infinite norm")
+        raise ZeroVectorError(f"{describe(i)} has norm {norms[i]:g} and cannot be normalized")
+    return norms
+
+
+def l2_normalize(v) -> np.ndarray:
+    """Return the 1-D vector v, as float64, divided by its row_norms norm.
+
+    Raises ValueError for a NaN or Inf component or an overflowing norm and
+    ZeroVectorError when the norm is at or below 1e-12.
+    """
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim != 1:
+        raise DimensionMismatchError(f"expected a 1-D vector, got shape {arr.shape}")
+    return arr / row_norms(arr[None], lambda i: "vector")[0]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from deo.errors import (
     MissingEmbeddingError,
     ZeroVectorError,
 )
-from deo.index import FlatIndex, fuse_mean, rrf_fuse
+from deo.index import FlatIndex, rrf_fuse
 from deo.optimizer import OptimizationConfig
 from deo.store import EmbeddingStore
 
@@ -298,7 +298,8 @@ def test_fusion_systems_match_manual_composition(tmp_path):
     rrf_lines = (tmp_path / "runs" / "rrf_only.run").read_text().splitlines()
 
     # q1 decomposes into one positive and one negative
-    fused = fuse_mean([QUERY_VECS["q1"], QUERY_VECS["alpha things"], QUERY_VECS["beta things"]])
+    fused = np.mean([QUERY_VECS["q1"], QUERY_VECS["alpha things"], QUERY_VECS["beta things"]],
+                    axis=0)
     expected_avg = index.search(fused, k=depth).doc_ids
     got_avg = tuple(l.split()[2] for l in avg_lines if l.startswith("q1 "))
     assert got_avg == expected_avg
@@ -383,15 +384,21 @@ def test_offline_missing_subquery_embedding(tmp_path):
         run_benchmark(cfg)
 
 
-def test_first_bad_query_raises_first(tmp_path):
-    # q1's vector cannot be normalized and q2's is missing: the run stops
-    # at q1, as it did when every query was searched on its own
-    cfg = build_env(tmp_path, systems="baseline")
+@pytest.mark.parametrize("system", ["baseline", "deo", "avg_only", "rrf_only"])
+def test_first_bad_query_raises_first(tmp_path, system):
+    # q1's vector cannot be normalized and q2's is missing. baseline stops at
+    # q1, as it did when every query was searched on its own; deo gathers the
+    # whole block's inputs before normalizing any, and avg_only and rrf_only
+    # search q1 through its nonzero sub-query vectors, so they stop at q2
+    error, match = ((ZeroVectorError, None) if system == "baseline"
+                    else (MissingEmbeddingError, "'q2'"))
+    cfg = build_env(tmp_path, systems=system)
     qstore = EmbeddingStore(dim=4, model="test-enc")
-    qstore.add("q1", [0.0, 0.0, 0.0, 0.0])
-    qstore.add("q3", QUERY_VECS["q3"])
+    for key, vec in QUERY_VECS.items():
+        if key != "q2":
+            qstore.add(key, np.zeros(4) if key == "q1" else vec)
     qstore.save_jsonl(tmp_path / "queries.emb.jsonl")
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(error, match=match):
         run_benchmark(cfg)
 
 

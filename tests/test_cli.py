@@ -46,6 +46,18 @@ def test_help_exits_zero(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--store", "X"],
+    ["index", "--store", "X", "--config", "tool.cfg"],
+    ["ingest", "--docs", "X", "--out", "X"],
+    ["decompose", "--queries", "X", "--cache", "X"],
+])
+def test_options_that_change_nothing_are_usage_errors(argv, capsys):
+    # index reads no tool config; ingest and decompose read no loss weights
+    extra = [] if "--config" in argv else ["--preset", "text"]
+    assert main(argv + extra) == 2
+
+
 def test_data_error_prints_json_line(capsys):
     code, out, err = run_cli(capsys, "index", "--store", "/no/such/file.jsonl")
     assert code == 1
@@ -768,6 +780,23 @@ def test_online_eval_equals_offline_eval(fixtures_dir, tmp_path, mock_api, capsy
     for run in ("baseline", "deo", "avg_only", "rrf_only"):
         assert ((tmp_path / "runs" / f"{run}.run").read_bytes()
                 == (offline / "runs" / f"{run}.run").read_bytes())
+
+
+@pytest.mark.parametrize("deo", [False, True])
+def test_adhoc_search_rejects_a_query_vector_whose_norm_overflows(
+        deo, fixtures_dir, tmp_path, mock_api, capsys):
+    mock_api.embed_dim = 8
+    mock_api.embed_vector = lambda text, dim: np.full(dim, 1e200)
+    tool = write_tool_cfg(tmp_path, mock_api)
+    tool.write_text(tool.read_text().replace("mock-llm", "fixture-llm"))
+    query_texts, _ = fixture_texts(fixtures_dir)
+    code, out, err = run_cli(capsys, "search", "--config", str(tool), *(["--deo"] if deo else []),
+                             "--store", str(fixtures_dir / "corpus.emb.jsonl"),
+                             "--cache", str(fixtures_dir / "cache.jsonl"),
+                             "--query", query_texts[0], "--k", "3")
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "ValueError"
 
 
 def test_adhoc_search_makes_one_embedding_request(fixtures_dir, tmp_path, mock_api, capsys):

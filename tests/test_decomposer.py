@@ -11,7 +11,7 @@ from deo.decomposer import (
     decompose_many,
     parse_decomposition_response,
 )
-from deo.errors import EmptyQueryError, FormatError, ParseError, TransportError
+from deo.errors import EmptyInputError, FormatError, ParseError, TransportError
 
 VALID = '{"positives": ["solar panels", "renewables"], "negatives": ["coal plants"]}'
 
@@ -27,9 +27,9 @@ def make_client(api, **kwargs):
 
 
 def test_prompt_rejects_empty_query():
-    with pytest.raises(EmptyQueryError):
+    with pytest.raises(EmptyInputError):
         build_decomposition_prompt("")
-    with pytest.raises(EmptyQueryError):
+    with pytest.raises(EmptyInputError):
         build_decomposition_prompt("   ")
 
 
@@ -110,16 +110,13 @@ def test_decompose_happy_path(mock_api):
     result = decompose("solar farms not coal", make_client(mock_api), query_id="q1")
     assert result.positives == ("solar panels", "renewables")
     assert result.negatives == ("coal plants",)
-    assert result.retries == 0
     assert result.model == "test-model"
-    assert result.latency_ms >= 0.0
     assert mock_api.request_count("/v1/chat/completions") == 1
 
 
 def test_decompose_retry_then_success_appends_reminder(mock_api):
     mock_api.chat_script = ["utter garbage", VALID]
     result = decompose("some query", make_client(mock_api))
-    assert result.retries == 1
     assert result.positives == ("solar panels", "renewables")
     assert mock_api.request_count("/v1/chat/completions") == 2
     second_prompt = mock_api.requests[1][1]["messages"][-1]["content"]
@@ -131,8 +128,8 @@ def test_decompose_fallback_after_two_failures(mock_api):
     result = decompose("find cats not dogs", make_client(mock_api))
     assert result.positives == ("find cats not dogs",)
     assert result.negatives == ()
-    assert result.retries == 1
     assert mock_api.request_count("/v1/chat/completions") == 2
+    assert "Reminder" in mock_api.requests[1][1]["messages"][-1]["content"]
 
 
 def test_decompose_transport_error_after_retries(mock_api):

@@ -12,7 +12,7 @@ from deo.errors import (
     EmptyInputError,
     ZeroVectorError,
 )
-from deo.index import SEARCH_BLOCK, FlatIndex, RankedList, fuse_mean, rrf_fuse, write_trec_run
+from deo.index import SEARCH_BLOCK, FlatIndex, RankedList, rrf_fuse, write_trec_run
 from deo.store import EmbeddingStore
 from deo.vecmath import ZERO_NORM_EPS, l2_normalize
 
@@ -112,6 +112,9 @@ def test_build_errors_name_the_doc():
         FlatIndex.from_matrix(["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]])
     with pytest.raises(ValueError, match="'b'"):
         FlatIndex.from_matrix(["a", "b"], [[1.0, 0.0], [1e200, 1e200]])  # norm overflows
+    # the first bad row is reported, though a later one is non-finite
+    with pytest.raises(ZeroVectorError, match="'b'"):
+        FlatIndex.from_matrix(["a", "b", "c"], [[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]])
     with pytest.raises(DuplicateIdError, match="'a'"):
         FlatIndex.from_matrix(["a", "b", "a"], np.eye(3))
     with pytest.raises(DimensionMismatchError):
@@ -330,26 +333,6 @@ def test_ranked_list_rank_of():
     assert rl.rank_of("c") is None
     with pytest.raises(ValueError):
         RankedList(doc_ids=("a",), scores=(0.9, 0.5))
-
-
-def test_fuse_mean():
-    assert np.allclose(fuse_mean([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
-    v = np.array([0.3, -0.2, 0.9])
-    assert np.allclose(fuse_mean([v]), v)
-    assert np.allclose(fuse_mean([v, v, v]), v)
-    with pytest.raises(EmptyInputError):
-        fuse_mean([])
-    with pytest.raises(DimensionMismatchError):
-        fuse_mean([[1.0, 0.0], [1.0, 0.0, 0.0]])
-
-
-def test_fuse_mean_convex_hull():
-    rng = np.random.default_rng(4)
-    vectors = [rng.normal(size=5) for _ in range(6)]
-    fused = fuse_mean(vectors)
-    stacked = np.stack(vectors)
-    assert np.all(fused >= stacked.min(axis=0) - 1e-12)
-    assert np.all(fused <= stacked.max(axis=0) + 1e-12)
 
 
 def test_rrf_single_list():

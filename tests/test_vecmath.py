@@ -1,16 +1,25 @@
 import math
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deo import vecmath
 from deo.errors import DimensionMismatchError, InsufficientDataError, ZeroVectorError
+from deo.index import FlatIndex
+from deo.optimizer import DecompositionEmbeddings
 from deo.vecmath import (
+    ZERO_NORM_EPS,
     PcaBasis,
     as_vector,
     l2_normalize,
     pca_fit,
     pca_project,
+    row_norms,
 )
 
 
@@ -41,6 +50,81 @@ def test_l2_normalize_zero_vector_raises():
         l2_normalize(np.zeros(4))
     with pytest.raises(ZeroVectorError):
         l2_normalize(np.full(4, 1e-13))
+
+
+def test_overflowing_norm_raises_instead_of_returning_zeros():
+    # every component is finite, but the float64 sum of squares overflows
+    v = [1e200, 1e200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        with pytest.raises(ValueError, match="infinite norm"):
+            l2_normalize(v)
+        with pytest.raises(ValueError, match="infinite norm"):
+            DecompositionEmbeddings.from_vectors([1.0, 0.0], [v]).normalized()
+
+
+@st.composite
+def matrices(draw):
+    """(n, d) float32 or float64 matrices whose rows are standard normal
+    draws scaled by a power of two, from all-subnormal to just past float64
+    overflow, with some components subnormal or -0.0 and the odd NaN or Inf,
+    plus the NORM_CHUNK to compute them with."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype == np.float32:
+        extremes, tiny = [-160, -149, -40, 120, 125, 127], 2.0**-140
+    else:
+        extremes, tiny = [-1080, -1074, -1022, -40, 505, 508, 511], 2.0**-1050
+    m = np.empty((n, d), dtype=dtype)
+    for i in range(n):
+        exponent = draw(st.sampled_from(extremes) if draw(st.integers(0, 3)) == 0
+                        else st.integers(-30, 30))
+        with np.errstate(over="ignore", under="ignore"):
+            m[i] = rng.normal(size=d) * 2.0**exponent
+        m[i, rng.random(d) < draw(st.sampled_from([0.0, 0.5]))] *= tiny  # subnormal
+        m[i, rng.random(d) < draw(st.sampled_from([0.0] * 6 + [0.3, 1.0]))] = -0.0
+        special = draw(st.sampled_from([None] * 20 + [np.nan, np.inf, -np.inf]))
+        if special is not None:
+            m[i, rng.integers(d)] = special
+    return m, draw(st.sampled_from([1, 2, 5, vecmath.NORM_CHUNK]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(matrices())
+def test_every_normalizer_divides_by_np_linalg_norm(case):
+    m, chunk = case
+    rows = m.astype(np.float64)
+    with np.errstate(all="ignore"):
+        norms = np.array([np.linalg.norm(v) for v in rows])
+    ok = (norms > ZERO_NORM_EPS) & np.isfinite(norms)
+    ids = [f"d{i}" for i in range(len(m))]
+    inputs = DecompositionEmbeddings(rows, num_positives=len(m) // 2)
+    with mock.patch.object(vecmath, "NORM_CHUNK", chunk), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if ok.all():
+            units = np.stack([v / n for v, n in zip(rows, norms)])
+            assert np.array_equal(rows / row_norms(m)[:, None], units)
+            for row, unit in zip(m, units):
+                assert np.array_equal(l2_normalize(row), unit)
+            assert np.array_equal(FlatIndex.from_matrix(ids, m).unit_vectors(), units)
+            from_vectors = DecompositionEmbeddings.from_vectors(
+                inputs.original, inputs.positives, inputs.negatives)
+            assert np.array_equal(from_vectors.normalized().rows, units)
+            assert np.array_equal(inputs.normalized().rows, units)
+            return
+        # the first bad row decides the error, whatever the rows after it
+        first = int(np.argmin(ok))
+        error = ValueError if not np.isfinite(norms[first]) else ZeroVectorError
+        for call in (lambda: row_norms(m), lambda: inputs.normalized(),
+                     lambda: l2_normalize(m[first])):
+            with pytest.raises(Exception) as info:
+                call()
+            assert type(info.value) is error
+        with pytest.raises(Exception, match=f"doc 'd{first}'") as info:
+            FlatIndex.from_matrix(ids, m)
+        assert type(info.value) is error
 
 
 def test_pca_needs_two_points():
