@@ -4,12 +4,16 @@ Both formats store float32 vectors; arithmetic elsewhere runs in float64.
 The JSONL format opens with a header object, the binary format with a magic
 string, so either loader can reject the wrong file with a line/offset
 diagnostic instead of garbage.
+
+Binary saves write v2: a header, the ids as one JSON array and the raw
+float32 matrix, which a load maps read-only instead of reading it record by
+record. v1 files (an id and a vector per record) still load.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import mmap
 import os
 import struct
 import time
@@ -19,11 +23,15 @@ import numpy as np
 import orjson
 
 from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError, FormatError
-from .ioutil import atomic_write_bytes, read_jsonl
+from .ioutil import atomic_write_bytes, loads, read_jsonl
 
 JSONL_FORMAT_NAME = "deo-emb"
 JSONL_FORMAT_VERSION = 1
-BINARY_MAGIC = b"DEOEMB1\x00"
+BINARY_MAGIC = b"DEOEMB2\x00"
+_BINARY_VERSIONS = {b"DEOEMB1\x00": 1, BINARY_MAGIC: 2}
+_V1_HEADER = struct.Struct("<IQ")  # dim, count
+_V2_HEADER = struct.Struct("<IQQ")  # dim, count, ids-block length
+_V2_ALIGN = 64  # the matrix starts at a multiple of this offset
 
 
 @dataclass
@@ -153,21 +161,76 @@ class EmbeddingStore:
     # -- binary --------------------------------------------------------
 
     def save_binary(self, path) -> None:
-        buf = io.BytesIO()
-        buf.write(BINARY_MAGIC)
-        buf.write(struct.pack("<I", self.dim))
-        buf.write(struct.pack("<Q", len(self._ids)))
-        for record_id, vec in zip(self._ids, self._vectors):
-            encoded = record_id.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise FormatError(f"id {record_id!r} exceeds 65535 encoded bytes")
-            buf.write(struct.pack("<H", len(encoded)))
-            buf.write(encoded)
-            buf.write(vec.astype("<f4").tobytes())
-        atomic_write_bytes(path, buf.getvalue())
+        """Write the v2 layout; json.dumps escapes lone surrogates in ids."""
+        if not set(map(type, self._ids)) <= {str}:
+            raise FormatError("a binary store's ids must all be strings")
+        ids_block = json.dumps(self._ids, separators=(",", ":")).encode()
+        ids_end = len(BINARY_MAGIC) + _V2_HEADER.size + len(ids_block)
+        atomic_write_bytes(path, b"".join((
+            BINARY_MAGIC,
+            _V2_HEADER.pack(self.dim, len(self._ids), len(ids_block)),
+            ids_block,
+            bytes(-ids_end % _V2_ALIGN),
+            memoryview(np.ascontiguousarray(self.matrix, dtype="<f4")),
+        )))
 
     @classmethod
     def load_binary(cls, path) -> "EmbeddingStore":
+        """Load a v2 or v1 binary store. A v2 file must have exactly the size
+        its header implies before anything is read or mapped, so a header
+        that overstates the count fails without allocating."""
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            version = _binary_version(path, fh.read(len(BINARY_MAGIC)))
+            if version == 2:
+                return cls._load_v2(path, fh, size)
+            if version == 1:
+                return cls._load_v1(path, fh, size)
+        raise FormatError(f"{path}: bad magic, not a binary embedding store")
+
+    @classmethod
+    def _load_v2(cls, path, fh, size: int) -> "EmbeddingStore":
+        head = fh.read(_V2_HEADER.size)
+        ids_start = len(BINARY_MAGIC) + _V2_HEADER.size
+        if len(head) < _V2_HEADER.size:
+            raise FormatError(f"{path}: truncated header: {size} bytes, expected at least {ids_start}")
+        dim, count, ids_len = _V2_HEADER.unpack(head)
+        if dim <= 0:
+            raise FormatError(f"{path}: header dim must be positive")
+        ids_end = ids_start + ids_len
+        offset = ids_end + -ids_end % _V2_ALIGN
+        expected = offset + 4 * dim * count
+        if size < expected:
+            raise FormatError(f"{path}: truncated: {size} bytes, header implies {expected}")
+        if size > expected:
+            raise FormatError(
+                f"{path}: {size - expected} trailing bytes: {size} bytes, header implies {expected}"
+            )
+        block = fh.read(offset - ids_start)
+        if any(block[ids_len:]):
+            raise FormatError(f"{path}: nonzero padding after the ids block")
+        try:
+            ids = loads(block[:ids_len])
+        except ValueError:  # bad JSON or bad UTF-8
+            ids = None
+        if type(ids) is not list or len(ids) != count or not set(map(type, ids)) <= {str}:
+            raise FormatError(f"{path}: ids block is not a JSON array of {count} strings")
+        index = dict(zip(ids, range(count)))
+        if len(index) < count:
+            seen: set[str] = set()
+            for i, record_id in enumerate(ids):
+                if record_id in seen:
+                    raise FormatError(f"{path}: duplicate id {record_id!r} in record {i}")
+                seen.add(record_id)
+        # the array holds the mapping open after the file is closed; saves
+        # replace the file by rename, so the mapped inode never changes
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        vectors = np.frombuffer(mapped, "<f4", count * dim, offset).reshape(count, dim)
+        return cls(dim=dim, _ids=ids, _index=index,
+                   _vectors=vectors.astype(np.float32, copy=False))
+
+    @classmethod
+    def _load_v1(cls, path, fh, size: int) -> "EmbeddingStore":
         """Read the records straight into one (count, dim) float32 matrix.
 
         Every record is checked against the file size before its row is
@@ -175,55 +238,60 @@ class EmbeddingStore:
         so a header that overstates the count fails at the first missing
         record instead of forcing a huge allocation.
         """
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(len(BINARY_MAGIC) + 12)
-            if not head.startswith(BINARY_MAGIC):
-                raise FormatError(f"{path}: bad magic, not a binary embedding store")
-            if len(head) < len(BINARY_MAGIC) + 12:
-                raise FormatError(f"{path}: truncated header at offset {size}")
-            dim, count = struct.unpack_from("<IQ", head, len(BINARY_MAGIC))
-            if dim <= 0:
-                raise FormatError(f"{path}: header dim must be positive")
-            offset = len(head)
-            vec_bytes = 4 * dim
-            # a record takes at least 2 + vec_bytes bytes
-            vectors = np.empty((min(count, (size - offset) // (2 + vec_bytes)), dim), dtype="<f4")
-            ids: list[str] = []
-            index: dict[str, int] = {}
-            read, readinto = fh.read, fh.readinto
-            for i in range(count):
-                if offset + 2 > size:
-                    raise FormatError(f"{path}: truncated record {i} at offset {offset}")
-                id_len = int.from_bytes(read(2), "little")
-                offset += 2
-                if offset + id_len + vec_bytes > size:
-                    raise FormatError(f"{path}: truncated record {i} at offset {offset}")
-                raw_id = read(id_len)
-                if readinto(vectors[i]) < vec_bytes:
-                    raise FormatError(f"{path}: truncated record {i} at offset {offset}")
-                try:
-                    record_id = raw_id.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise FormatError(
-                        f"{path}: id of record {i} at offset {offset} is not valid UTF-8"
-                    ) from None
-                if record_id in index:
-                    raise FormatError(f"{path}: duplicate id {record_id!r} in record {i}")
-                index[record_id] = i
-                ids.append(record_id)
-                offset += id_len + vec_bytes
+        head = fh.read(_V1_HEADER.size)
+        if len(head) < _V1_HEADER.size:
+            raise FormatError(f"{path}: truncated header at offset {size}")
+        dim, count = _V1_HEADER.unpack(head)
+        if dim <= 0:
+            raise FormatError(f"{path}: header dim must be positive")
+        offset = len(BINARY_MAGIC) + _V1_HEADER.size
+        vec_bytes = 4 * dim
+        # a record takes at least 2 + vec_bytes bytes
+        vectors = np.empty((min(count, (size - offset) // (2 + vec_bytes)), dim), dtype="<f4")
+        ids: list[str] = []
+        index: dict[str, int] = {}
+        read, readinto = fh.read, fh.readinto
+        for i in range(count):
+            if offset + 2 > size:
+                raise FormatError(f"{path}: truncated record {i} at offset {offset}")
+            id_len = int.from_bytes(read(2), "little")
+            offset += 2
+            if offset + id_len + vec_bytes > size:
+                raise FormatError(f"{path}: truncated record {i} at offset {offset}")
+            raw_id = read(id_len)
+            if readinto(vectors[i]) < vec_bytes:
+                raise FormatError(f"{path}: truncated record {i} at offset {offset}")
+            try:
+                record_id = raw_id.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(
+                    f"{path}: id of record {i} at offset {offset} is not valid UTF-8"
+                ) from None
+            if record_id in index:
+                raise FormatError(f"{path}: duplicate id {record_id!r} in record {i}")
+            index[record_id] = i
+            ids.append(record_id)
+            offset += id_len + vec_bytes
         if offset != size:
             raise FormatError(f"{path}: {size - offset} trailing bytes after records")
         return cls(dim=dim, _ids=ids, _index=index,
                    _vectors=vectors.astype(np.float32, copy=False))
 
 
+def _binary_version(path, head: bytes) -> int | None:
+    """1 or 2 for a binary store's magic, None for any other first bytes; a
+    binary store of an unknown version raises."""
+    version = _BINARY_VERSIONS.get(head)
+    if version is None and len(head) == len(BINARY_MAGIC) and head.startswith(b"DEOEMB"):
+        raise FormatError(f"{path}: unsupported binary store version {head[6:]!r}")
+    return version
+
+
 def load_store(path) -> EmbeddingStore:
     """Sniff the format from the first bytes and dispatch."""
     with open(path, "rb") as fh:
         head = fh.read(len(BINARY_MAGIC))
-    if head.startswith(BINARY_MAGIC):
+    if _binary_version(path, head):
         return EmbeddingStore.load_binary(path)
     return EmbeddingStore.load_jsonl(path)
 

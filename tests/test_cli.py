@@ -689,8 +689,29 @@ def test_ingest_binary_format(tmp_path, mock_api, capsys):
                          "--docs", str(tmp_path / "docs.jsonl"),
                          "--out", str(out_path), "--format", "binary")
     assert code == 0
-    assert out_path.read_bytes().startswith(b"DEOEMB1\x00")
+    assert out_path.read_bytes().startswith(b"DEOEMB2\x00")
     assert load_store(out_path).ids == ["d1"]
+
+
+def test_ingest_resume_binary_onto_its_own_output(tmp_path, mock_api, capsys):
+    """The resumed store is read from a mapping of the file it then replaces."""
+    cfg = write_tool_cfg(tmp_path, mock_api)
+    docs = tmp_path / "docs.jsonl"
+    out_path = tmp_path / "corpus.emb.bin"
+    ingest = ("ingest", "--config", str(cfg), "--docs", str(docs),
+              "--out", str(out_path), "--format", "binary")
+    write_queries(docs, [("d1", "one"), ("d2", "two")])
+    assert run_cli(capsys, *ingest)[0] == 0
+    first = load_store(out_path)
+    write_queries(docs, [("d1", "one"), ("d2", "two"), ("d3", "three")])
+    code, out, _ = run_cli(capsys, *ingest, "--resume")
+    assert code == 0
+    assert "(1 embedded, 2 reused)" in out
+    resumed = load_store(out_path)
+    assert resumed.ids == ["d1", "d2", "d3"]
+    assert resumed.matrix[:2].tobytes() == first.matrix.tobytes()
+    assert np.array_equal(resumed.get("d3"), stable_unit_vector("three", mock_api.embed_dim)
+                          .astype(np.float32).astype(np.float64))
 
 
 def test_preset_flag_changes_optimizer(fixtures_dir, capsys):

@@ -22,6 +22,7 @@ from deo.store import (
     load_store,
     save_store,
 )
+from store_v1 import save_binary_v1
 
 
 class CountingEmbedder:
@@ -172,7 +173,7 @@ def test_binary_rejects_bad_magic_and_truncation(tmp_path):
     store = EmbeddingStore(dim=4)
     store.add("a", [1.0, 2.0, 3.0, 4.0])
     good = tmp_path / "good.bin"
-    store.save_binary(good)
+    save_binary_v1(store, good)
     data = good.read_bytes()
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(data[:-5])
@@ -189,7 +190,7 @@ def test_binary_duplicate_id_names_the_record(tmp_path):
     store.add("ab", [1.0, 2.0])
     store.add("cd", [3.0, 4.0])
     path = tmp_path / "dup.bin"
-    store.save_binary(path)
+    save_binary_v1(store, path)
     path.write_bytes(path.read_bytes().replace(b"cd", b"ab"))
     with pytest.raises(FormatError, match="dup.bin: duplicate id 'ab' in record 1"):
         EmbeddingStore.load_binary(path)
@@ -272,7 +273,7 @@ def test_binary_truncated_at_every_length_is_a_format_error(tmp_path):
     for i, record_id in enumerate(["a", "ü-doc", "", "文書"]):
         store.add(record_id, [i, -i, 0.5])
     good = tmp_path / "good.bin"
-    store.save_binary(good)
+    save_binary_v1(store, good)
     data = good.read_bytes()
     cut = tmp_path / "cut.bin"
     for n in range(len(data)):
@@ -285,7 +286,7 @@ def test_binary_count_beyond_the_file_is_not_allocated(tmp_path):
     store = EmbeddingStore(dim=4)
     store.add("a", [1.0, 2.0, 3.0, 4.0])
     good = tmp_path / "good.bin"
-    store.save_binary(good)
+    save_binary_v1(store, good)
     lying = tmp_path / "lying.bin"
     data = bytearray(good.read_bytes())
     data[12:20] = struct.pack("<Q", 2**40)
@@ -305,7 +306,7 @@ def test_binary_bad_utf8_id_names_record_and_offset(tmp_path, capsys):
     store.add("ok", [1.0])
     store.add("xy", [2.0])
     path = tmp_path / "badid.bin"
-    store.save_binary(path)
+    save_binary_v1(store, path)
     data = path.read_bytes()
     at = data.index(b"xy")
     path.write_bytes(data[:at] + b"\xff\xfe" + data[at + 2:])
@@ -314,6 +315,198 @@ def test_binary_bad_utf8_id_names_record_and_offset(tmp_path, capsys):
     assert main(["index", "--store", str(path)]) == 1
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diag["error"] == "FormatError" and "record 1" in diag["message"]
+
+
+# -- binary v2 ---------------------------------------------------------------
+
+V2_IDS_START = 28  # magic, then <IQQ dim, count, ids-block length
+
+
+def v2_bytes(dim, count, ids_block, padding=None):
+    """A v2 file whose header states dim, count and len(ids_block), padded to
+    64 bytes and followed by count * dim float32 ones: the size is always
+    right, so only the part under test is wrong."""
+    head = b"DEOEMB2\x00" + struct.pack("<IQQ", dim, count, len(ids_block))
+    if padding is None:
+        padding = bytes(-(V2_IDS_START + len(ids_block)) % 64)
+    return head + ids_block + padding + np.ones(count * dim, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("loader", [load_store, EmbeddingStore.load_binary])
+def test_unknown_binary_store_version_is_named(tmp_path, loader):
+    path = tmp_path / "v3.bin"
+    path.write_bytes(b"DEOEMB3\x00" + bytes(56))
+    with pytest.raises(FormatError, match=r"v3.bin: unsupported binary store version b'3\\x00'"):
+        loader(path)
+
+
+def test_cli_names_an_unknown_binary_store_version(tmp_path, capsys):
+    path = tmp_path / "v9.bin"
+    path.write_bytes(b"DEOEMB9\x00" + bytes(56))
+    assert main(["index", "--store", str(path)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "FormatError"
+    assert "v9.bin: unsupported binary store version" in diag["message"]
+
+
+def test_committed_v1_store_loads_like_the_jsonl_fixture(fixtures_dir):
+    path = fixtures_dir / "corpus.v1.bin"
+    assert path.read_bytes().startswith(b"DEOEMB1\x00")
+    v1, text = load_store(path), load_store(fixtures_dir / "corpus.emb.jsonl")
+    assert (v1.dim, v1.ids) == (text.dim, text.ids)
+    assert v1.matrix.tobytes() == text.matrix.tobytes()
+
+
+def test_binary_v2_truncated_at_every_length_or_trailing_gives_both_sizes(tmp_path):
+    store = EmbeddingStore(dim=3)
+    for i, record_id in enumerate(["a", "ü-doc", "", "文書"]):
+        store.add(record_id, [i, -i, 0.5])
+    good = tmp_path / "good.bin"
+    store.save_binary(good)
+    data = good.read_bytes()
+    # the 36-byte ids block ends at offset 64, so the matrix needs no padding
+    assert data.startswith(b"DEOEMB2\x00") and len(data) == 64 + 4 * 3 * 4
+    cut = tmp_path / "cut.bin"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        if n < 8:
+            expected = "cut.bin: bad magic"
+        elif n < V2_IDS_START:
+            expected = f"cut.bin: truncated header: {n} bytes, expected at least 28"
+        else:
+            expected = f"cut.bin: truncated: {n} bytes, header implies {len(data)}"
+        with pytest.raises(FormatError, match=expected):
+            EmbeddingStore.load_binary(cut)
+    trailing = tmp_path / "trail.bin"
+    trailing.write_bytes(data + b"\x00\x00")
+    with pytest.raises(FormatError, match=f"trail.bin: 2 trailing bytes: {len(data) + 2} bytes, "
+                                          f"header implies {len(data)}"):
+        EmbeddingStore.load_binary(trailing)
+
+
+@pytest.mark.parametrize("field", [slice(12, 20), slice(20, 28)], ids=["count", "ids_length"])
+def test_binary_v2_header_beyond_the_file_is_not_allocated(tmp_path, field):
+    store = EmbeddingStore(dim=4)
+    store.add("a", [1.0, 2.0, 3.0, 4.0])
+    good = tmp_path / "good.bin"
+    store.save_binary(good)
+    data = bytearray(good.read_bytes())
+    data[field] = struct.pack("<Q", 2**40)
+    lying = tmp_path / "lying.bin"
+    lying.write_bytes(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"lying.bin: truncated: {len(data)} bytes, header implies"):
+            EmbeddingStore.load_binary(lying)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("count, ids_block, padding, message", [
+    (2, b'["a","b"]', b"\x00" * 26 + b"\x01", "nonzero padding after the ids block"),
+    (2, b'{"a":"b"}', None, "ids block is not a JSON array of 2 strings"),
+    (2, b'["a"]', None, "ids block is not a JSON array of 2 strings"),
+    (2, b'["a","b","c"]', None, "ids block is not a JSON array of 2 strings"),
+    (2, b'["a",1]', None, "ids block is not a JSON array of 2 strings"),
+    (2, b'["a",["b"]]', None, "ids block is not a JSON array of 2 strings"),
+    (2, b'["a","b"', None, "ids block is not a JSON array of 2 strings"),
+    (1, b'["\xff"]', None, "ids block is not a JSON array of 1 strings"),
+    (0, b"", None, "ids block is not a JSON array of 0 strings"),
+    (3, b'["ab","cd","ab"]', None, "duplicate id 'ab' in record 2"),
+], ids=["padding", "object", "short", "long", "number", "nested", "bad-json", "bad-utf8",
+        "empty", "duplicate"])
+def test_binary_v2_bad_ids_block_names_the_file(tmp_path, count, ids_block, padding, message):
+    path = tmp_path / "ids.bin"
+    path.write_bytes(v2_bytes(2, count, ids_block, padding))
+    with pytest.raises(FormatError, match=f"ids.bin: {message}"):
+        EmbeddingStore.load_binary(path)
+
+
+def test_binary_v2_zero_dim_names_the_file(tmp_path):
+    path = tmp_path / "dim0.bin"
+    path.write_bytes(v2_bytes(0, 1, b'["a"]'))
+    with pytest.raises(FormatError, match="dim0.bin: header dim must be positive"):
+        EmbeddingStore.load_binary(path)
+
+
+def test_binary_save_rejects_ids_that_are_not_strings(tmp_path):
+    store = EmbeddingStore(dim=1)
+    store.add(5, [1.0])
+    with pytest.raises(FormatError, match="ids must all be strings"):
+        store.save_binary(tmp_path / "int.bin")
+    assert not (tmp_path / "int.bin").exists()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(jsonl_stores())
+@example(EmbeddingStore(dim=1))
+def test_binary_v2_roundtrip_property(tmp_path_factory, store):
+    base = tmp_path_factory.mktemp("v2")
+    save_store(store, base / "a.bin", fmt="binary")
+    save_store(store, base / "b.bin", fmt="binary")
+    data = (base / "a.bin").read_bytes()
+    assert data.startswith(b"DEOEMB2\x00") and data == (base / "b.bin").read_bytes()
+    loaded = load_store(base / "a.bin")
+    assert (loaded.dim, loaded.ids) == (store.dim, store.ids)
+    assert loaded.matrix.dtype == np.float32 and loaded.matrix.shape == (len(store), store.dim)
+    assert loaded.matrix.tobytes() == store.matrix.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(binary_stores())
+@example(EmbeddingStore(dim=1))
+def test_binary_v1_and_v2_load_identically(tmp_path_factory, store):
+    base = tmp_path_factory.mktemp("v1v2")
+    save_binary_v1(store, base / "v1.bin")
+    store.save_binary(base / "v2.bin")
+    v1, v2 = load_store(base / "v1.bin"), load_store(base / "v2.bin")
+    assert (v1.dim, v1.ids) == (v2.dim, v2.ids) == (store.dim, store.ids)
+    assert v1.matrix.tobytes() == v2.matrix.tobytes() == store.matrix.tobytes()
+
+
+def test_index_on_a_v2_store_shares_its_read_only_mapping(tmp_path):
+    path = tmp_path / "s.bin"
+    save_store(random_store(np.random.default_rng(4), n=12, dim=5), path, fmt="binary")
+    store = load_store(path)
+    index = FlatIndex.from_matrix(store.ids, store.matrix)
+    assert np.shares_memory(index._matrix, store.matrix)
+    with pytest.raises(ValueError, match="read-only"):
+        index._matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        store.matrix[0, 0] = 1.0
+
+
+def test_saving_over_a_mapped_store_leaves_a_live_index_unchanged(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "s.bin"
+    save_store(random_store(rng, n=30, dim=6), path, fmt="binary")
+    store = load_store(path)
+    index = FlatIndex.from_matrix(store.ids, store.matrix)
+    queries = rng.normal(size=(4, 6))
+    before = [index.search(q, 10) for q in queries]
+    replacement = random_store(rng, n=30, dim=6)
+    save_store(replacement, path, fmt="binary")
+    assert load_store(path).matrix.tobytes() == replacement.matrix.tobytes()
+    for q, old in zip(queries, before):
+        new = index.search(q, 10)
+        assert (new.doc_ids, new.scores) == (old.doc_ids, old.scores)
+
+
+def test_add_on_a_v2_store_copies_instead_of_writing_the_file(tmp_path):
+    path = tmp_path / "s.bin"
+    original = random_store(np.random.default_rng(6), n=3, dim=4)
+    save_store(original, path, fmt="binary")
+    data = path.read_bytes()
+    store = load_store(path)
+    mapped = store.matrix
+    store.add("new", np.full(4, 7.0))
+    assert not np.shares_memory(store.matrix, mapped)
+    assert np.array_equal(store.get("new"), np.full(4, 7.0))
+    assert store.matrix[:3].tobytes() == original.matrix.tobytes()
+    assert path.read_bytes() == data
 
 
 def test_load_store_sniffs_format(tmp_path):
