@@ -18,10 +18,12 @@ import numpy as np
 from .errors import DimensionMismatchError, MissingGoldError
 from .index import FlatIndex
 from .ioutil import atomic_write_text
-from .optimizer import DecompositionEmbeddings, OptimizationTrace
+from .optimizer import OptimizationTrace
 from .vecmath import PcaBasis, pca_project
 
 CORPUS_PLOT_CAP = 500
+SVG_WIDTH = 640
+SVG_HEIGHT = 480
 
 
 @dataclass(frozen=True)
@@ -52,18 +54,19 @@ def _best_gold_rank(index: FlatIndex, query: np.ndarray, gold_ids) -> int:
 
 def export_trajectory(
     trace: OptimizationTrace,
-    inputs: DecompositionEmbeddings,
     index: FlatIndex,
     judgments: dict[str, int],
     basis: PcaBasis,
 ) -> TrajectoryExport:
-    """Project snapshots, sub-queries, gold docs, and a corpus sample.
+    """Project snapshots, sub-queries (the trace's inputs), gold docs, and a
+    corpus sample.
 
     judgments is one query's qrels row; docs with relevance > 0 are gold.
     The corpus sample takes every ceil(n / 500)-th document in ascending id
     order. Gold ranks come from full-depth searches with the first and last
     snapshots.
     """
+    inputs = trace.inputs
     if basis.dim != index.dim or inputs.dim != index.dim:
         raise DimensionMismatchError(
             f"dimensions disagree: basis {basis.dim}, index {index.dim}, inputs {inputs.dim}"
@@ -154,19 +157,15 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def render_svg(
-    export: TrajectoryExport,
-    width: int = 640,
-    height: int = 480,
-    title: str = "",
-) -> str:
-    """Hand-rolled scatter plot of the export; byte-deterministic.
+def render_svg(export: TrajectoryExport) -> str:
+    """Hand-rolled SVG_WIDTH x SVG_HEIGHT scatter plot of the export;
+    byte-deterministic.
 
     Corpus docs are gray dots, the trajectory is a connected blue path,
     positives are green triangles, negatives are red crosses, gold docs are
     gold stars.
     """
-    margin = 48.0
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 48.0
     points = [*export.steps_xy, *export.positives_xy, *export.negatives_xy,
               *((x, y) for _, x, y in (*export.gold_points, *export.corpus_points))]
     xs = [float(x) for x, _ in points]
@@ -189,11 +188,6 @@ def render_svg(
         f'viewBox="0 0 {width} {height}">'
     )
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{title}</text>'
-        )
 
     for _doc_id, x, y in export.corpus_points:
         parts.append(
@@ -252,5 +246,5 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
-def write_trajectory_svg(export: TrajectoryExport, path, **style) -> None:
-    atomic_write_text(path, render_svg(export, **style))
+def write_trajectory_svg(export: TrajectoryExport, path) -> None:
+    atomic_write_text(path, render_svg(export))

@@ -31,6 +31,7 @@ from .decomposer import (
 )
 from .errors import (
     ConfigError,
+    EmptyInputError,
     FormatError,
     MissingDecompositionError,
     MissingEmbeddingError,
@@ -187,7 +188,12 @@ class QueryPipeline:
         store, cache and memos lack, many per request: decompositions (when
         `subqueries`) through decompose_many at `concurrency`, then the query
         and sub-query embeddings, once per text, in batches of `batch_size`.
-        Offline it does nothing; a query it cannot resolve fails later, in turn."""
+        A blank query text raises EmptyInputError before anything is looked
+        up or requested. Offline it fetches nothing; a query it cannot
+        resolve fails later, in turn."""
+        for query_id, text in queries:
+            if not text.strip():
+                raise EmptyInputError(f"query {query_id!r} is empty")
         if subqueries and self.chat_client is not None:
             todo = [pair for pair in queries if pair[0] not in self._decompositions]
             entries = decompose_many(todo, self.chat_client, self.cache, self.max_subqueries,
@@ -448,8 +454,7 @@ def trajectory(cfg: BenchmarkConfig, query_id: str, chat_client=None,
     inputs = runner.pipeline.embeddings(query_id, runner.queries[query_id])
     _, trace = optimize_query_embedding(inputs, cfg.optimizer)
     basis = pca_fit(runner.index.unit_vectors(), n_components=2)
-    return export_trajectory(trace, trace.inputs, runner.index, runner.qrels.get(query_id, {}),
-                             basis)
+    return export_trajectory(trace, runner.index, runner.qrels.get(query_id, {}), basis)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .clients import ChatClient, EmbeddingClient
 from .config import ToolConfig
 from .decomposer import DecompositionCache, decompose_many
 from .errors import DeoError, TransportError
-from .index import FlatIndex
+from .index import FlatIndex, trec_lines
 from .ioutil import atomic_write_text, load_texts_jsonl
 from .optimizer import PRESETS, OptimizationConfig, optimize_query_embedding
 from .store import ingest_corpus, load_store
@@ -128,8 +128,7 @@ def cmd_search(args) -> int:
     run_tag = args.run_tag or system
     rankings = pipeline.rank(index, system, sorted(queries.items()), args.k, optimizer)
     for query_id, ranking in rankings:
-        for rank, (doc_id, score) in enumerate(ranking.items(), start=1):
-            print(f"{'q1' if adhoc else query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}")
+        print(trec_lines("q1" if adhoc else query_id, ranking, run_tag), end="")
     return EXIT_OK
 
 

@@ -38,12 +38,9 @@ class ClientConfig:
     max_retries: int = 3
     backoff_base: float = 0.5
 
-    def api_key(self) -> str:
-        return os.environ.get(self.api_key_env, "")
-
     def headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
-        key = self.api_key()
+        key = os.environ.get(self.api_key_env, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
         return headers
@@ -92,15 +89,11 @@ class ChatClient:
         self.temperature = temperature
         self._sleep = sleep
 
-    def complete(self, prompt: str, system: str | None = None) -> str:
-        messages = []
-        if system:
-            messages.append({"role": "system", "content": system})
-        messages.append({"role": "user", "content": prompt})
+    def complete(self, prompt: str) -> str:
         payload = {
             "model": self.model,
             "temperature": self.temperature,
-            "messages": messages,
+            "messages": [{"role": "user", "content": prompt}],
         }
         data = _post_with_retries(self.cfg, "/v1/chat/completions", payload, self._sleep)
         try:

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import EmptyInputError, FormatError, ParseError
-from .ioutil import atomic_write_bytes, read_jsonl
+from .ioutil import atomic_write_bytes, read_id, read_jsonl
 
 DEFAULT_MAX_SUBQUERIES = 8
 
@@ -205,12 +205,15 @@ class DecompositionCache:
                     raise FormatError(
                         f"{path}:{lineno}: 'positives' and 'negatives' must be lists of strings"
                     )
+            query, model = obj["query"], obj.get("model", "")
+            if not isinstance(query, str) or not isinstance(model, str):
+                raise FormatError(f"{path}:{lineno}: 'query' and 'model' must be strings")
             entry = DecomposedQuery(
-                query_id=str(obj.get("query_id", "")),
-                original=str(obj["query"]),
+                query_id=read_id(obj.get("query_id", ""), path, lineno, "query_id"),
+                original=query,
                 positives=tuple(positives),
                 negatives=tuple(negatives),
-                model=str(obj.get("model", "")),
+                model=model,
             )
             self._entries[(entry.original, entry.model)] = entry
 
@@ -220,10 +223,11 @@ class DecompositionCache:
     def get(self, query: str, model: str) -> DecomposedQuery | None:
         return self._entries.get((query, model))
 
-    def lookup(self, query: str, model: str = "") -> DecomposedQuery | None:
-        """get, but an empty model matches any cached entry for the query."""
-        exact = self._entries.get((query, model))
-        if exact is not None or model:
+    def lookup(self, query: str) -> DecomposedQuery | None:
+        """The query's entry made under no model, else its first cached
+        entry under any model."""
+        exact = self._entries.get((query, ""))
+        if exact is not None:
             return exact
         return next((entry for (text, _), entry in self._entries.items() if text == query), None)
 

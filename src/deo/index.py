@@ -226,11 +226,14 @@ def rrf_fuse(ranked_lists, k: int = 10, k_rrf: float = 60.0) -> RankedList:
     )
 
 
+def trec_lines(query_id: str, ranking: RankedList, run_tag: str) -> str:
+    """One query's ranking as six-column TREC run lines, scores with 6
+    decimals."""
+    return "".join(f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n"
+                   for rank, (doc_id, score) in enumerate(ranking.items(), start=1))
+
+
 def write_trec_run(path, results: dict[str, RankedList], run_tag: str) -> None:
-    """Write rankings in six-column TREC run format, scores with 6 decimals,
-    atomically."""
+    """Write every query's trec_lines, in query id order, atomically."""
     atomic_write_text(path, "".join(
-        f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n"
-        for query_id in sorted(results)
-        for rank, (doc_id, score) in enumerate(results[query_id].items(), start=1)
-    ))
+        trec_lines(query_id, results[query_id], run_tag) for query_id in sorted(results)))

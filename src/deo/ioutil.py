@@ -8,7 +8,7 @@ import tempfile
 
 import orjson
 
-from .errors import DuplicateIdError, FormatError
+from .errors import DuplicateIdError, EmptyInputError, FormatError
 
 # mkstemp forces 0600; written files should honor the process umask instead
 _UMASK = os.umask(0)
@@ -80,19 +80,31 @@ def read_jsonl(path):
                 raise FormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
 
 
+def read_id(value, path, lineno: int, field: str = "id") -> str:
+    """A JSONL record's id as text: a string as it is, an integer (not a
+    bool) as its exact decimal digits; anything else raises FormatError
+    naming the file and line."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise FormatError(f"{path}:{lineno}: {field!r} must be a string or an integer")
+
+
 def load_texts_jsonl(path) -> dict[str, str]:
-    """Load {"id": ..., "text": ...} lines into an ordered id -> text map."""
+    """Load {"id": ..., "text": ...} lines into an ordered id -> text map; a
+    file without records raises EmptyInputError."""
     out: dict[str, str] = {}
     for lineno, obj in read_jsonl(path):
         if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
             raise FormatError(f"{path}:{lineno}: expected an object with 'id' and 'text'")
-        doc_id, text = obj["id"], obj["text"]
-        if (not isinstance(text, str) or isinstance(doc_id, bool)
-                or not isinstance(doc_id, (str, int))):
+        if not isinstance(obj["text"], str):
             raise FormatError(f"{path}:{lineno}: 'id' must be a string or an integer "
                               "and 'text' a string")
-        doc_id = str(doc_id)
+        doc_id = read_id(obj["id"], path, lineno)
         if doc_id in out:
             raise DuplicateIdError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-        out[doc_id] = text
+        out[doc_id] = obj["text"]
+    if not out:
+        raise EmptyInputError(f"{path}: no records")
     return out

@@ -23,12 +23,11 @@ import numpy as np
 import orjson
 
 from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError, FormatError
-from .ioutil import atomic_write_bytes, loads, read_jsonl
+from .ioutil import atomic_write_bytes, loads, read_id, read_jsonl
 
 JSONL_FORMAT_NAME = "deo-emb"
 JSONL_FORMAT_VERSION = 1
 BINARY_MAGIC = b"DEOEMB2\x00"
-_BINARY_VERSIONS = {b"DEOEMB1\x00": 1, BINARY_MAGIC: 2}
 _V1_HEADER = struct.Struct("<IQ")  # dim, count
 _V2_HEADER = struct.Struct("<IQQ")  # dim, count, ids-block length
 _V2_ALIGN = 64  # the matrix starts at a multiple of this offset
@@ -153,7 +152,7 @@ class EmbeddingStore:
             if row is None or row.ndim != 1 or row.dtype.kind not in "iuf":
                 raise FormatError(f"{path}:{lineno}: vector components must be numbers")
             try:
-                store.add(str(obj["id"]), row)
+                store.add(read_id(obj["id"], path, lineno), row)
             except DuplicateIdError:
                 raise FormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}") from None
         return store
@@ -175,21 +174,10 @@ class EmbeddingStore:
         )))
 
     @classmethod
-    def load_binary(cls, path) -> "EmbeddingStore":
-        """Load a v2 or v1 binary store. A v2 file must have exactly the size
-        its header implies before anything is read or mapped, so a header
-        that overstates the count fails without allocating."""
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            version = _binary_version(path, fh.read(len(BINARY_MAGIC)))
-            if version == 2:
-                return cls._load_v2(path, fh, size)
-            if version == 1:
-                return cls._load_v1(path, fh, size)
-        raise FormatError(f"{path}: bad magic, not a binary embedding store")
-
-    @classmethod
     def _load_v2(cls, path, fh, size: int) -> "EmbeddingStore":
+        """A v2 file must have exactly the size its header implies before
+        anything is read or mapped, so a header that overstates the count
+        fails without allocating."""
         head = fh.read(_V2_HEADER.size)
         ids_start = len(BINARY_MAGIC) + _V2_HEADER.size
         if len(head) < _V2_HEADER.size:
@@ -278,21 +266,20 @@ class EmbeddingStore:
                    _vectors=vectors.astype(np.float32, copy=False))
 
 
-def _binary_version(path, head: bytes) -> int | None:
-    """1 or 2 for a binary store's magic, None for any other first bytes; a
-    binary store of an unknown version raises."""
-    version = _BINARY_VERSIONS.get(head)
-    if version is None and len(head) == len(BINARY_MAGIC) and head.startswith(b"DEOEMB"):
-        raise FormatError(f"{path}: unsupported binary store version {head[6:]!r}")
-    return version
+_BINARY_LOADERS = {b"DEOEMB1\x00": EmbeddingStore._load_v1, BINARY_MAGIC: EmbeddingStore._load_v2}
 
 
 def load_store(path) -> EmbeddingStore:
-    """Sniff the format from the first bytes and dispatch."""
+    """Load a store, its format told by its first 8 bytes: a binary magic
+    passes the open file to that version's loader, a binary store of an
+    unknown version raises, anything else is read as JSONL."""
     with open(path, "rb") as fh:
         head = fh.read(len(BINARY_MAGIC))
-    if _binary_version(path, head):
-        return EmbeddingStore.load_binary(path)
+        loader = _BINARY_LOADERS.get(head)
+        if loader is not None:
+            return loader(path, fh, os.fstat(fh.fileno()).st_size)
+        if len(head) == len(BINARY_MAGIC) and head.startswith(b"DEOEMB"):
+            raise FormatError(f"{path}: unsupported binary store version {head[6:]!r}")
     return EmbeddingStore.load_jsonl(path)
 
 
@@ -370,7 +357,7 @@ def ingest_corpus(
         raise ValueError("batch_size must be positive")
     started = time.monotonic()
     existing: EmbeddingStore | None = None
-    if resume and out_path is not None and os.path.exists(os.fspath(out_path)):
+    if resume and os.path.exists(os.fspath(out_path)):
         existing = load_store(out_path)
 
     pending = [(doc_id, text) for doc_id, text in texts.items()
@@ -389,8 +376,7 @@ def ingest_corpus(
     store = EmbeddingStore(dim=dim, model=model or (existing.model if existing else ""))
     for doc_id in texts:
         store.add(doc_id, fresh[doc_id] if doc_id in fresh else existing.get(doc_id))
-    if out_path is not None:
-        save_store(store, out_path, fmt=fmt)
+    save_store(store, out_path, fmt=fmt)
     report = IngestReport(
         total=len(store),
         embedded=len(pending),

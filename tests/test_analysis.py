@@ -46,7 +46,7 @@ def run_export(steps=10, judgments=None, **world_kwargs):
         judgments = {docs[0][0]: 1, docs[1][0]: 2, docs[2][0]: 0}
     cfg = OptimizationConfig(steps=steps)
     _, trace = optimize_query_embedding(inputs, cfg)
-    export = export_trajectory(trace, inputs.normalized(), index, judgments, basis)
+    export = export_trajectory(trace, index, judgments, basis)
     return export, index, docs
 
 
@@ -79,7 +79,7 @@ def test_corpus_subsample_stride():
     basis = pca_fit(index.unit_vectors(), 2)
     inputs = DecompositionEmbeddings.from_vectors(unit(rng.normal(size=4)), [], [])
     _, trace = optimize_query_embedding(inputs, OptimizationConfig(steps=0))
-    export = export_trajectory(trace, inputs, index, {"d0000": 1}, basis)
+    export = export_trajectory(trace, index, {"d0000": 1}, basis)
     # ceil(1200 / 500) = 3, so every third id survives
     assert len(export.corpus_points) == 400
     ids = [p[0] for p in export.corpus_points]
@@ -117,7 +117,7 @@ def test_rank_improvement_on_negation_instance():
     cfg = OptimizationConfig(lambda_p=1.0, lambda_n=1.0, lambda_o=0.2, steps=20)
     _, trace = optimize_query_embedding(inputs, cfg)
     basis = pca_fit(index.unit_vectors(), 2)
-    export = export_trajectory(trace, inputs.normalized(), index, {"gold": 1}, basis)
+    export = export_trajectory(trace, index, {"gold": 1}, basis)
 
     assert export.baseline_rank == 6
     assert export.final_rank == 1
@@ -131,12 +131,12 @@ def test_error_cases():
     index, basis, inputs, docs = small_world()
     _, trace = optimize_query_embedding(inputs, OptimizationConfig(steps=1))
     with pytest.raises(MissingGoldError, match="no relevant"):
-        export_trajectory(trace, inputs, index, {docs[0][0]: 0}, basis)
+        export_trajectory(trace, index, {docs[0][0]: 0}, basis)
     with pytest.raises(MissingGoldError, match="ghost"):
-        export_trajectory(trace, inputs, index, {"ghost": 1}, basis)
+        export_trajectory(trace, index, {"ghost": 1}, basis)
     wrong_basis = pca_fit(np.random.default_rng(0).normal(size=(10, 4)), 2)
     with pytest.raises(DimensionMismatchError):
-        export_trajectory(trace, inputs, index, {docs[0][0]: 1}, wrong_basis)
+        export_trajectory(trace, index, {docs[0][0]: 1}, wrong_basis)
 
 
 # -- serialization ----------------------------------------------------------
@@ -182,8 +182,8 @@ def test_json_csv_roundtrip_consistency():
 
 def test_svg_marker_counts_and_determinism(tmp_path):
     export, _, docs = run_export(steps=5)
-    svg = render_svg(export, title="demo")
-    assert svg == render_svg(export, title="demo")
+    svg = render_svg(export)
+    assert svg == render_svg(export)
     assert svg.count('class="corpus-point"') == len(docs)
     assert svg.count('class="traj-point"') == 6
     assert svg.count('class="traj-path"') == 1
@@ -195,7 +195,7 @@ def test_svg_marker_counts_and_determinism(tmp_path):
     assert svg.rstrip().endswith("</svg>")
 
     out = tmp_path / "plot.svg"
-    write_trajectory_svg(export, out, title="demo")
+    write_trajectory_svg(export, out)
     assert out.read_text() == svg
 
 

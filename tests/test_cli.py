@@ -154,6 +154,19 @@ def test_index_names_the_line_of_a_bad_vector_component(tmp_path, capsys, vector
     assert f"{path}:2:" in diag["message"]
 
 
+@pytest.mark.parametrize("raw", ["null", '["a"]', "1.5", "true"])
+def test_index_rejects_a_store_id_that_is_not_a_string_or_an_integer(tmp_path, capsys, raw):
+    path = tmp_path / "corpus.emb.jsonl"
+    path.write_text('{"format": "deo-emb", "version": 1, "dim": 1}\n'
+                    '{"id": %s, "vector": [1.0]}\n' % raw)
+    code, out, err = run_cli(capsys, "index", "--store", str(path))
+    assert code == 1
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line) == {"error": "FormatError",
+                                "message": f"{path}:2: 'id' must be a string or an integer"}
+
+
 @pytest.mark.parametrize("record", [
     {"id": "q1", "text": ["a"]},
     {"id": "q1", "text": 5},
@@ -835,3 +848,65 @@ def test_adhoc_search_makes_one_embedding_request(fixtures_dir, tmp_path, mock_a
     assert path == "/v1/embeddings"
     row = json.loads((fixtures_dir / "cache.jsonl").read_text().splitlines()[0])
     assert payload["input"] == [query_texts[0], *row["positives"], *row["negatives"]]
+
+
+# -- empty input ----------------------------------------------------------------
+
+
+def empty_input_argv(command, fixtures_dir, tmp_path, tool, empty):
+    """argv running `command` on the empty file `empty` (a blank query text
+    for the ad-hoc search cases) with the mock endpoints of `tool`."""
+    corpus = str(fixtures_dir / "corpus.emb.jsonl")
+    if command == "eval":
+        bench = tmp_path / "bench.cfg"
+        write_online_bench_cfg(bench, fixtures_dir)
+        bench.write_text(bench.read_text().replace(str(fixtures_dir / "queries.jsonl"),
+                                                   str(empty)))
+        return ["eval", "--config", str(bench), "--tool-config", str(tool)]
+    return {
+        "search": ["search", "--config", str(tool), "--store", corpus,
+                   "--queries", str(empty), "--deo"],
+        "search-blank-query": ["search", "--config", str(tool), "--store", corpus,
+                               "--query", "   ", "--deo"],
+        "search-blank-query-offline": ["search", "--store", corpus, "--query", " \t ",
+                                       "--query-store", str(fixtures_dir / "queries.emb.jsonl"),
+                                       "--offline"],
+        "optimize-blank-query": ["optimize", "--config", str(tool), "--query", "  "],
+        "decompose": ["decompose", "--config", str(tool), "--queries", str(empty),
+                      "--cache", str(tmp_path / "cache.jsonl")],
+        "ingest-resume": ["ingest", "--config", str(tool), "--docs", str(empty),
+                          "--out", str(tmp_path / "store.jsonl"), "--resume"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["search", "search-blank-query", "search-blank-query-offline",
+                                     "optimize-blank-query", "eval", "decompose", "ingest-resume"])
+def test_empty_input_fails_before_any_request(fixtures_dir, tmp_path, mock_api, capsys, command):
+    tool = write_tool_cfg(tmp_path, mock_api)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    store = tmp_path / "store.jsonl"
+    save_store(load_store(fixtures_dir / "corpus.emb.jsonl"), store)
+    before = store.read_bytes()
+    code, out, err = run_cli(capsys, *empty_input_argv(command, fixtures_dir, tmp_path, tool,
+                                                       empty))
+    assert code == 1
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "EmptyInputError"
+    assert (str(empty) if "blank" not in command else "is empty") in diag["message"]
+    assert mock_api.request_count() == 0
+    assert store.read_bytes() == before
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_a_blank_query_in_a_queries_file_is_named(fixtures_dir, tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    write_queries(queries, [("q1", "fine"), ("q2", " ")])
+    code, out, err = run_cli(capsys, "search", "--store", str(fixtures_dir / "corpus.emb.jsonl"),
+                             "--query-store", str(fixtures_dir / "queries.emb.jsonl"),
+                             "--queries", str(queries), "--offline")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err.strip()) == {"error": "EmptyInputError", "message": "query 'q2' is empty"}

@@ -126,11 +126,11 @@ def test_api_key_env_indirection(monkeypatch):
 def test_chat_complete_roundtrip(mock_api):
     mock_api.chat_script = ["the reply"]
     client = ChatClient(make_cfg(mock_api), model="m", temperature=0.3, sleep=lambda s: None)
-    assert client.complete("hi", system="be terse") == "the reply"
+    assert client.complete("hi") == "the reply"
     path, payload = mock_api.requests[0]
     assert path == "/v1/chat/completions"
     assert payload["temperature"] == 0.3
-    assert [m["role"] for m in payload["messages"]] == ["system", "user"]
+    assert payload["messages"] == [{"role": "user", "content": "hi"}]
 
 
 def test_embed_roundtrip(mock_api):

@@ -191,8 +191,7 @@ def test_cache_lookup_any_model(tmp_path):
     cache = DecompositionCache(tmp_path / "c.jsonl")
     cache.put(entry(model="exotic"))
     assert cache.get("q text", "other") is None
-    assert cache.lookup("q text", "") is not None
-    assert cache.lookup("q text", "other") is None
+    assert cache.lookup("q text") is not None
 
 
 def test_cache_keeps_first_seen_order(tmp_path):

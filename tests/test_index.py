@@ -12,7 +12,7 @@ from deo.errors import (
     EmptyInputError,
     ZeroVectorError,
 )
-from deo.index import SEARCH_BLOCK, FlatIndex, RankedList, rrf_fuse, write_trec_run
+from deo.index import SEARCH_BLOCK, FlatIndex, RankedList, rrf_fuse, trec_lines, write_trec_run
 from deo.store import EmbeddingStore
 from deo.vecmath import ZERO_NORM_EPS, l2_normalize
 
@@ -395,3 +395,7 @@ def test_write_trec_run(tmp_path):
         "q1 Q0 a 2 0.125000 sys",
         "q2 Q0 a 1 0.250000 sys",
     ]
+    # search prints each query's ranking through the same formatter
+    assert path.read_text() == (trec_lines("q1", results["q1"], "sys")
+                                + trec_lines("q2", results["q2"], "sys"))
+    assert trec_lines("q3", RankedList(doc_ids=(), scores=()), "sys") == ""

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deo.errors import FormatError
+from deo.decomposer import DecompositionCache
+from deo.errors import EmptyInputError, FormatError
 from deo.ioutil import load_texts_jsonl, loads
+from deo.store import load_store
 
 # every character, lone surrogates included
 ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
@@ -92,3 +94,64 @@ def test_read_jsonl_keeps_wide_integers_and_lone_surrogates(tmp_path):
                     '{"id": "q", "text": "a", "text": "d"}\n')
     assert load_texts_jsonl(path) == {"123456789012345678901234567890": "a", "\ud800": "b",
                                       "-9223372036854775809": "c", "q": "d"}
+
+
+# -- one id rule for every JSONL reader ----------------------------------------
+
+# reader -> (a valid first line, raw JSON id -> a record line with that id,
+# path -> the ids the reader reads from the file)
+ID_READERS = {
+    "texts": ('{"id": "q0", "text": "ok"}', lambda raw: '{"id": %s, "text": "a"}' % raw,
+              lambda path: list(load_texts_jsonl(path))),
+    "store": ('{"format": "deo-emb", "version": 1, "dim": 1}',
+              lambda raw: '{"id": %s, "vector": [1.0]}' % raw,
+              lambda path: load_store(path).ids),
+    "cache": ('{"query_id": "q0", "query": "ok", "positives": [], "negatives": []}',
+              lambda raw: '{"query_id": %s, "query": %s, "positives": [], "negatives": []}'
+              % (raw, json.dumps(raw)),
+              lambda path: [e.query_id for e in DecompositionCache(path).entries()]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ID_READERS))
+@pytest.mark.parametrize("raw", ["null", '["a"]', "1.5", "true"])
+def test_every_reader_rejects_an_id_that_is_not_a_string_or_an_integer(tmp_path, reader, raw):
+    first, record, read = ID_READERS[reader]
+    path = tmp_path / "records.jsonl"
+    path.write_text(first + "\n" + record(raw) + "\n")
+    field = "query_id" if reader == "cache" else "id"
+    with pytest.raises(FormatError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:2: {field!r} must be a string or an integer"
+
+
+@pytest.mark.parametrize("reader", sorted(ID_READERS))
+def test_every_reader_keeps_an_integer_id_exact(tmp_path, reader):
+    first, record, read = ID_READERS[reader]
+    path = tmp_path / "records.jsonl"
+    path.write_text(first + "\n" + record("123456789012345678901234567890") + "\n"
+                    + record("-7") + "\n")
+    assert read(path)[-2:] == ["123456789012345678901234567890", "-7"]
+
+
+@pytest.mark.parametrize("line", [
+    '{"query": null, "positives": [], "negatives": []}',
+    '{"query": 5, "positives": [], "negatives": []}',
+    '{"query": "a", "model": null, "positives": [], "negatives": []}',
+    '{"query": "a", "model": ["m"], "positives": [], "negatives": []}',
+])
+def test_cache_query_and_model_must_be_strings(tmp_path, line):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(FormatError) as info:
+        DecompositionCache(path)
+    assert str(info.value) == f"{path}:1: 'query' and 'model' must be strings"
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "  \n"])
+def test_texts_file_without_records_is_empty_input(tmp_path, text):
+    path = tmp_path / "queries.jsonl"
+    path.write_text(text)
+    with pytest.raises(EmptyInputError) as info:
+        load_texts_jsonl(path)
+    assert str(info.value) == f"{path}: no records"
