@@ -114,6 +114,9 @@ class BenchmarkConfig:
     config_hash: str = ""
 
     def __post_init__(self) -> None:
+        for key in ("systems", "metrics"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must name at least one entry")
         for system in self.systems:
             if system not in KNOWN_SYSTEMS:
                 raise ConfigError(
@@ -278,6 +281,8 @@ class QueryPipeline:
         """
         if system not in KNOWN_SYSTEMS:
             raise ConfigError(f"unknown system {system!r}")
+        if k <= 0:
+            raise ValueError("k must be positive")
         queries = list(queries)
         self._prefetch(queries, subqueries=system != "baseline")
         for start in range(0, len(queries), index_module.SEARCH_BLOCK):
@@ -358,9 +363,8 @@ class _BenchmarkRunner:
 
     def __init__(self, cfg: BenchmarkConfig, chat_client=None, embed_client=None, **options):
         self.cfg = cfg
-        corpus = load_store(cfg.corpus_store)
-        self.corpus_model = corpus.model
-        self.index = FlatIndex.from_matrix(corpus.ids, corpus.matrix)
+        self.corpus = load_store(cfg.corpus_store)
+        self.index = FlatIndex.from_store(self.corpus)
         self.queries = load_texts_jsonl(cfg.queries)
         self.qrels: Qrels = load_qrels(cfg.qrels)
         self._check_qrels()
@@ -421,7 +425,7 @@ class _BenchmarkRunner:
         metadata = {
             "config_hash": cfg.config_hash,
             "timestamp": report_timestamp(),
-            "corpus_model": self.corpus_model,
+            "corpus_model": self.corpus.model,
             "chat_model": cfg.model,
             "systems": list(cfg.systems),
             "metrics": list(cfg.metrics),

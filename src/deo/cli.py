@@ -103,20 +103,15 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _load_index(path) -> FlatIndex:
-    store = load_store(path)
-    return FlatIndex.from_matrix(store.ids, store.matrix)
-
-
 def cmd_index(args) -> int:
-    index = _load_index(args.store)
+    index = FlatIndex.from_store(load_store(args.store))
     print(f"index ok: {len(index)} docs, dim {index.dim}")
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
     cfg = _tool_config(args.config, args.preset)
-    index = _load_index(args.store)
+    index = FlatIndex.from_store(load_store(args.store))
     pipeline = _pipeline(args, cfg)
     optimizer = _with_steps(cfg.optimizer, args.steps)
 
@@ -134,10 +129,10 @@ def cmd_search(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _tool_config(args.config, args.preset)
+    opt_cfg = _with_steps(cfg.optimizer, args.steps)
     pipeline = _pipeline(args, cfg)
     inputs = pipeline.embeddings(args.query, args.query)
     entry = pipeline.decomposition(args.query, args.query)
-    opt_cfg = _with_steps(cfg.optimizer, args.steps)
     final, trace = optimize_query_embedding(inputs, opt_cfg)
 
     doc = {

@@ -1,13 +1,13 @@
 """Exact cosine retrieval over an in-memory corpus, plus rank fusion.
 
-The index keeps the corpus vectors as it is given them, float32 or float64,
-plus one float64 norm per row; a read-only float32 matrix such as
-EmbeddingStore.matrix is used in place. Queries are scored in blocks of
-SEARCH_BLOCK rows, one matrix product in the corpus dtype per block against
-the whole corpus; that product only picks candidates, whose final scores are
-recomputed in float64 one query at a time, so a query ranks the same alone
-or in any batch. Ties are broken by ascending doc id to keep every ranking
-deterministic.
+The index keeps the corpus vectors plus one float64 norm per row:
+FlatIndex.build copies its records to float64, and FlatIndex.from_store
+scores a store's read-only float32 matrix in place. Queries are scored in
+blocks of SEARCH_BLOCK rows, one matrix product in the corpus dtype per block
+against the whole corpus; that product only picks candidates, whose final
+scores are recomputed in float64 one query at a time, so a query ranks the
+same alone or in any batch. Ties are broken by ascending doc id to keep every
+ranking deterministic.
 """
 
 from __future__ import annotations
@@ -55,25 +55,24 @@ class RankedList:
 class FlatIndex:
     """Brute-force cosine index. Exact by construction, no ANN structures."""
 
-    def __init__(self, doc_ids: list[str], matrix: np.ndarray, norms: np.ndarray):
-        self._doc_ids = list(doc_ids)
-        self._matrix = matrix  # rows as given, float32 or float64
+    def __init__(self, doc_ids: list[str], positions: dict[str, int], matrix: np.ndarray,
+                 norms: np.ndarray):
+        self._doc_ids = doc_ids
+        self._positions = positions  # doc id -> row
+        self._matrix = matrix  # float64 rows, or a store's float32 matrix
         self._norms = norms  # float64 L2 norm of each row
-        self._positions: dict[str, int] = {}
-        for i, doc_id in enumerate(self._doc_ids):
-            if self._positions.setdefault(doc_id, i) != i:
-                raise DuplicateIdError(f"duplicate doc id {doc_id!r}")
         # integer tie-break key: each row's place in ascending doc id order
-        n = len(self._doc_ids)
+        n = len(doc_ids)
         self._id_rank = np.empty(n, dtype=np.int64)
-        self._id_rank[sorted(range(n), key=self._doc_ids.__getitem__)] = np.arange(n)
+        self._id_rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
 
     @classmethod
     def build(cls, records) -> "FlatIndex":
-        """Build from an iterable of (doc_id, vector) pairs.
+        """Build from an iterable of (doc_id, vector) pairs, copied to float64.
 
-        Same checks and vectors as from_matrix, plus DimensionMismatchError
-        for a record whose dimension differs from the first one's.
+        Raises DimensionMismatchError for a record that is not 1-D or not of
+        the first one's dimension, then EmptyInputError, then the first bad
+        row's error as in row_norms, naming its doc, then DuplicateIdError.
         """
         doc_ids: list[str] = []
         rows: list[np.ndarray] = []
@@ -87,36 +86,31 @@ class FlatIndex:
                 )
             doc_ids.append(doc_id)
             rows.append(row)
-        return cls.from_matrix(doc_ids, rows)
-
-    @classmethod
-    def from_matrix(cls, doc_ids, vectors) -> "FlatIndex":
-        """Build from ids and an (n, d) matrix whose rows are their vectors.
-
-        A read-only float32 ndarray (EmbeddingStore.matrix) is kept in place,
-        so it must not change afterwards; any other input is copied once, as
-        float32 if it is float32 and as float64 otherwise. Rows are scored as
-        if divided by their row_norms, as l2_normalize divides one vector.
-        Duplicate ids raise DuplicateIdError; the first bad row raises as in
-        row_norms, naming its doc.
-        """
-        doc_ids = list(doc_ids)
         if not doc_ids:
             raise EmptyInputError("cannot build an index from zero documents")
-        float32 = getattr(vectors, "dtype", None) == np.float32
-        if float32 and isinstance(vectors, np.ndarray) and not vectors.flags.writeable:
-            matrix = vectors
-        else:
-            matrix = np.array(vectors, dtype=np.float32 if float32 else np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != len(doc_ids):
-            raise DimensionMismatchError(
-                f"expected an ({len(doc_ids)}, d) matrix, got shape {matrix.shape}"
-            )
+        matrix = np.array(rows)
         norms = row_norms(matrix, lambda i: f"doc {doc_ids[i]!r}")
-        if matrix.dtype == np.float32 and norms.max() > FLOAT32_SCREEN_MAX_NORM:
+        positions: dict[str, int] = {}
+        for i, doc_id in enumerate(doc_ids):
+            if positions.setdefault(doc_id, i) != i:
+                raise DuplicateIdError(f"duplicate doc id {doc_id!r}")
+        return cls(doc_ids, positions, matrix, norms)
+
+    @classmethod
+    def from_store(cls, store) -> "FlatIndex":
+        """Index an EmbeddingStore in place: its read-only float32 matrix,
+        its id list and its id -> row map are used without a copy, so the
+        store must not change afterwards. Raises EmptyInputError for an
+        empty store, then the first bad row's error as in row_norms, naming
+        its doc."""
+        if not len(store):
+            raise EmptyInputError("cannot build an index from zero documents")
+        matrix = store.matrix
+        norms = row_norms(matrix, lambda i: f"doc {store._ids[i]!r}")
+        if norms.max() > FLOAT32_SCREEN_MAX_NORM:
             # a float32 product with such a row could overflow; screen in float64
             matrix = matrix.astype(np.float64)
-        return cls(doc_ids, matrix, norms)
+        return cls(store._ids, store._index, matrix, norms)
 
     def __len__(self) -> int:
         return len(self._doc_ids)

@@ -42,18 +42,22 @@ class OptimizationConfig:
     normalize_inputs: bool = True
 
     def __post_init__(self) -> None:
-        if self.lambda_p < 0 or self.lambda_n < 0 or self.lambda_o < 0:
-            raise ValueError("lambda weights must be non-negative")
+        # NaN fails every comparison, so each range check also rejects it
+        for name in ("lambda_p", "lambda_n", "lambda_o"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(
+                    f"lambda weights must be non-negative and finite, got {name} = {value!r}")
         # steps = 0 is allowed so sweeps can include the no-optimization
         # endpoint, which is the plain-search baseline by construction.
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be non-negative and finite")
 
 
 # Named loss-weight presets. "multimodal" raises the anchor weight for

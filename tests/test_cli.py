@@ -99,6 +99,11 @@ def test_offline_cache_miss_is_data_error(fixtures_dir, tmp_path, capsys):
     ("depth", "-1", "depth must be >= 0"),
     ("systems", "baseline, bm25", "unknown system 'bm25'"),
     ("metrics", "bleu@4", "unknown metric kind 'bleu'"),
+    ("systems", "", "systems must name at least one entry"),
+    ("metrics", "", "metrics must name at least one entry"),
+    ("lambda_p", "nan", "lambda_p = nan"),
+    ("lambda_o", "inf", "lambda_o = inf"),
+    ("learning_rate", "nan", "learning_rate must be positive and finite"),
 ])
 def test_eval_bad_config_value_names_file_and_key(fixtures_dir, tmp_path, capsys,
                                                    key, value, message):
@@ -119,6 +124,17 @@ def test_index_ok(fixtures_dir, capsys):
                            str(fixtures_dir / "corpus.emb.jsonl"))
     assert code == 0
     assert out.strip() == "index ok: 20 docs, dim 8"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "binary"])
+def test_index_on_a_store_without_records_is_empty_input(tmp_path, capsys, fmt):
+    path = tmp_path / "corpus.store"
+    save_store(EmbeddingStore(dim=4), path, fmt=fmt)
+    code, out, err = run_cli(capsys, "index", "--store", str(path))
+    assert (code, out) == (1, "")
+    (line,) = err.strip().splitlines()
+    assert json.loads(line) == {"error": "EmptyInputError",
+                                "message": "cannot build an index from zero documents"}
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -831,6 +847,24 @@ def test_adhoc_search_rejects_a_query_vector_whose_norm_overflows(
     assert (code, out) == (1, "")
     (line,) = err.splitlines()
     assert json.loads(line)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--deo", "--k", "0"],
+    ["search", "--k", "-3"],
+    ["search", "--deo", "--steps", "-1"],
+    ["optimize", "--steps", "-1"],
+])
+def test_bad_k_or_steps_fails_before_any_request(fixtures_dir, tmp_path, mock_api, capsys, argv):
+    tool = write_tool_cfg(tmp_path, mock_api)
+    command, *options = argv
+    store = ["--store", str(fixtures_dir / "corpus.emb.jsonl")] if command == "search" else []
+    code, out, err = run_cli(capsys, command, "--config", str(tool), *store,
+                             "--query", "a query", *options)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "ValueError"
+    assert mock_api.request_count() == 0
 
 
 def test_adhoc_search_makes_one_embedding_request(fixtures_dir, tmp_path, mock_api, capsys):

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from deo.benchmark import BenchmarkConfig
 from deo.clients import ChatClient, ClientConfig, EmbeddingClient, _post_with_retries
-from deo.config import ToolConfig, parse_flat_config
+from deo.config import OPTIMIZER_KEYS, ToolConfig, parse_flat_config
 from deo.errors import ConfigError, EmptyInputError, TransportError
 from deo.optimizer import OptimizationConfig
 
@@ -87,6 +88,18 @@ def test_tool_config_rejects_unknown_and_bad_values(tmp_path):
 def test_tool_config_rejects_values_that_break_later(key, value):
     with pytest.raises(ConfigError, match=f"<config>: {key} must be"):
         ToolConfig.from_mapping({key: value})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(OPTIMIZER_KEYS))
+def test_non_finite_optimizer_values_name_the_key(key, value):
+    # a NaN weight or learning rate would make every Adam step a no-op
+    bench_keys = {"corpus_store": "c", "queries": "q", "qrels": "r"}
+    for build in (lambda: ToolConfig.from_mapping({key: value}),
+                  lambda: BenchmarkConfig.from_mapping({**bench_keys, key: value})):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value).startswith("<config>: ") and key in str(info.value)
 
 
 def test_tool_config_presets():

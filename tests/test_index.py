@@ -109,29 +109,33 @@ def test_build_errors_name_the_doc():
     with pytest.raises(ZeroVectorError, match="'b'"):
         FlatIndex.build([("a", [1.0, 0.0]), ("b", [0.0, 0.0])])
     with pytest.raises(ValueError, match="'c'"):
-        FlatIndex.from_matrix(["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]])
+        FlatIndex.build(zip("abc", [[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]]))
     with pytest.raises(ValueError, match="'b'"):
-        FlatIndex.from_matrix(["a", "b"], [[1.0, 0.0], [1e200, 1e200]])  # norm overflows
+        FlatIndex.build(zip("ab", [[1.0, 0.0], [1e200, 1e200]]))  # norm overflows
     # the first bad row is reported, though a later one is non-finite
     with pytest.raises(ZeroVectorError, match="'b'"):
-        FlatIndex.from_matrix(["a", "b", "c"], [[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]])
+        FlatIndex.build(zip("abc", [[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]]))
     with pytest.raises(DuplicateIdError, match="'a'"):
-        FlatIndex.from_matrix(["a", "b", "a"], np.eye(3))
-    with pytest.raises(DimensionMismatchError):
-        FlatIndex.from_matrix(["a", "b"], np.eye(3))
+        FlatIndex.build(zip("aba", np.eye(3)))
 
 
-def test_from_matrix_matches_build():
-    rng = np.random.default_rng(6)
-    vectors = rng.normal(size=(40, 7)).astype(np.float32)
-    ids = [f"d{i}" for i in rng.permutation(40)]
-    a = FlatIndex.from_matrix(ids, vectors)
-    b = FlatIndex.build(zip(ids, vectors))
-    assert a.doc_ids == b.doc_ids
-    assert np.array_equal(a.unit_vectors(), b.unit_vectors())
-    # each row has the bits l2_normalize gives it on its own
-    for i, row in enumerate(vectors):
-        assert np.array_equal(a.unit_vectors()[i], l2_normalize(row))
+def test_build_checks_dimensions_then_rows_then_ids():
+    # a later record of the wrong dimension is reported before a bad row
+    with pytest.raises(DimensionMismatchError, match="'c'"):
+        FlatIndex.build(zip("abc", [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0, 0.0]]))
+    # a bad row is reported before an earlier duplicate id
+    with pytest.raises(ZeroVectorError, match="'b'"):
+        FlatIndex.build(zip("aab", [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_from_store_errors_name_the_doc():
+    with pytest.raises(EmptyInputError):
+        FlatIndex.from_store(EmbeddingStore(dim=2))
+    # the first bad row is reported, though a later one is non-finite
+    with pytest.raises(ZeroVectorError, match="'b'"):
+        FlatIndex.from_store(store_of("abc", np.array([[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]])))
+    with pytest.raises(ValueError, match="'c'"):
+        FlatIndex.from_store(store_of("abc", np.array([[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]])))
 
 
 def _exact_results(results):
@@ -213,15 +217,16 @@ def float64_oracle(ids, vectors, query, k):
     return tuple(doc_id for doc_id, _ in ranked), tuple(score for _, score in ranked)
 
 
-def read_only(matrix):
-    """The matrix as the CLI hands it over: a read-only float32 store view."""
-    matrix = np.array(matrix, dtype=np.float32)
-    matrix.flags.writeable = False
-    return matrix
+def store_of(ids, vectors):
+    """The rows as every command indexes them: a store's float32 matrix."""
+    store = EmbeddingStore(dim=vectors.shape[1])
+    for doc_id, row in zip(ids, vectors):
+        store.add(doc_id, row)
+    return store
 
 
 def assert_ranks_like_oracle(ids, vectors, queries, k):
-    index = FlatIndex.from_matrix(ids, read_only(vectors))
+    index = FlatIndex.from_store(store_of(ids, vectors))
     batched = _exact_results(index.search_many(queries, k))
     assert batched == _exact_results(index.search(q, k) for q in queries)
     assert batched == [float64_oracle(ids, vectors, q, k) for q in queries]
@@ -282,7 +287,24 @@ def test_float32_extreme_norms_rank_like_oracle(scale):
         assert_ranks_like_oracle(ids, vectors, queries, k)
 
 
-def test_from_matrix_keeps_the_store_matrix_without_a_float64_copy():
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(float32_corpus_and_queries())
+def test_from_store_matches_build(case):
+    ids, vectors, queries, _ = case
+    stored = FlatIndex.from_store(store_of(ids, vectors))
+    built = FlatIndex.build(zip(ids, vectors))
+    assert stored.doc_ids == built.doc_ids == ids
+    units = stored.unit_vectors()
+    assert units.tobytes() == built.unit_vectors().tobytes()
+    # each row has the bits l2_normalize gives it on its own
+    for unit, row in zip(units, vectors):
+        assert unit.tobytes() == l2_normalize(row).tobytes()
+    for k in sorted({1, 5, len(ids)}):
+        assert (_exact_results(stored.search_many(queries, k))
+                == _exact_results(built.search_many(queries, k)))
+
+
+def test_from_store_keeps_the_store_matrix_without_a_float64_copy():
     rng = np.random.default_rng(9)
     n, d = 8192, 256
     store = EmbeddingStore(dim=d)
@@ -290,19 +312,22 @@ def test_from_matrix_keeps_the_store_matrix_without_a_float64_copy():
         store.add(f"doc{i:05d}", row)
     tracemalloc.start()
     try:
-        index = FlatIndex.from_matrix(store.ids, store.matrix)
+        index = FlatIndex.from_store(store)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < n * d * 8 / 2
+    # the store's matrix, id list and id -> row map, none of them copied
+    assert np.shares_memory(index._matrix, store.matrix)
+    assert index._doc_ids is store._ids and index._positions is store._index
     assert np.array_equal(index.vector("doc00007"), l2_normalize(store.get("doc00007")))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_from_matrix_copies_a_writable_matrix(dtype):
+def test_build_copies_its_records(dtype):
     rng = np.random.default_rng(10)
     vectors = rng.normal(size=(50, 8)).astype(dtype)
-    index = FlatIndex.from_matrix([f"d{i}" for i in range(50)], vectors)
+    index = FlatIndex.build(zip([f"d{i}" for i in range(50)], vectors))
     queries = rng.normal(size=(5, 8))
     results, units = _exact_results(index.search_many(queries, 7)), index.unit_vectors()
     vectors[:] = rng.normal(size=(50, 8))

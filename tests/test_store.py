@@ -479,7 +479,7 @@ def test_index_on_a_v2_store_shares_its_read_only_mapping(tmp_path):
     path = tmp_path / "s.bin"
     save_store(random_store(np.random.default_rng(4), n=12, dim=5), path, fmt="binary")
     store = load_store(path)
-    index = FlatIndex.from_matrix(store.ids, store.matrix)
+    index = FlatIndex.from_store(store)
     assert np.shares_memory(index._matrix, store.matrix)
     with pytest.raises(ValueError, match="read-only"):
         index._matrix[0, 0] = 1.0
@@ -492,7 +492,7 @@ def test_saving_over_a_mapped_store_leaves_a_live_index_unchanged(tmp_path):
     path = tmp_path / "s.bin"
     save_store(random_store(rng, n=30, dim=6), path, fmt="binary")
     store = load_store(path)
-    index = FlatIndex.from_matrix(store.ids, store.matrix)
+    index = FlatIndex.from_store(store)
     queries = rng.normal(size=(4, 6))
     before = [index.search(q, 10) for q in queries]
     replacement = random_store(rng, n=30, dim=6)
@@ -538,12 +538,39 @@ def test_text_and_binary_stores_search_identically(tmp_path):
     store.save_jsonl(jsonl_path)
     store.save_binary(bin_path)
     stores = load_store(jsonl_path), load_store(bin_path)
-    index_a, index_b = (FlatIndex.from_matrix(s.ids, s.matrix) for s in stores)
+    index_a, index_b = (FlatIndex.from_store(s) for s in stores)
     for _ in range(5):
         q = rng.normal(size=6)
         ra, rb = index_a.search(q, 10), index_b.search(q, 10)
         assert ra.doc_ids == rb.doc_ids
         assert ra.scores == rb.scores
+
+
+def test_every_loader_gives_the_id_map_an_index_shares(tmp_path):
+    # from_store trusts the loaded store's id -> row map, so each loader's
+    # must match its id list
+    rng = np.random.default_rng(11)
+    vectors = rng.normal(size=(40, 6))
+    vectors[rng.integers(0, 40, size=10)] = vectors[rng.integers(0, 40, size=10)]  # ties
+    store = EmbeddingStore(dim=6)
+    for i, row in zip(rng.permutation(40), vectors):
+        store.add(f"d{i:02d}", row)
+    store.save_jsonl(tmp_path / "s.jsonl")
+    save_binary_v1(store, tmp_path / "s.v1.bin")
+    store.save_binary(tmp_path / "s.bin")
+    queries = np.concatenate([rng.normal(size=(5, 6)), vectors[:5]])
+
+    def rankings(index):
+        return [(r.doc_ids, r.scores) for k in (1, 5, 40) for r in index.search_many(queries, k)]
+
+    expected = rankings(FlatIndex.from_store(store))
+    for name in ("s.jsonl", "s.v1.bin", "s.bin"):
+        loaded = load_store(tmp_path / name)
+        assert loaded._ids == store._ids
+        assert loaded._index == {record_id: i for i, record_id in enumerate(loaded._ids)}
+        index = FlatIndex.from_store(loaded)
+        assert index._positions is loaded._index
+        assert rankings(index) == expected
 
 
 def test_embed_texts_batching_and_order():

@@ -12,6 +12,7 @@ from deo import vecmath
 from deo.errors import DimensionMismatchError, InsufficientDataError, ZeroVectorError
 from deo.index import FlatIndex
 from deo.optimizer import DecompositionEmbeddings
+from deo.store import EmbeddingStore
 from deo.vecmath import (
     ZERO_NORM_EPS,
     PcaBasis,
@@ -101,6 +102,12 @@ def test_every_normalizer_divides_by_np_linalg_norm(case):
     ok = (norms > ZERO_NORM_EPS) & np.isfinite(norms)
     ids = [f"d{i}" for i in range(len(m))]
     inputs = DecompositionEmbeddings(rows, num_positives=len(m) // 2)
+    indexes = [lambda: FlatIndex.build(zip(ids, m))]
+    if m.dtype == np.float32:  # a store holds float32 rows
+        store = EmbeddingStore(dim=m.shape[1])
+        for doc_id, row in zip(ids, m):
+            store.add(doc_id, row)
+        indexes.append(lambda: FlatIndex.from_store(store))
     with mock.patch.object(vecmath, "NORM_CHUNK", chunk), warnings.catch_warnings():
         warnings.simplefilter("error")
         if ok.all():
@@ -108,7 +115,8 @@ def test_every_normalizer_divides_by_np_linalg_norm(case):
             assert np.array_equal(rows / row_norms(m)[:, None], units)
             for row, unit in zip(m, units):
                 assert np.array_equal(l2_normalize(row), unit)
-            assert np.array_equal(FlatIndex.from_matrix(ids, m).unit_vectors(), units)
+            for make_index in indexes:
+                assert np.array_equal(make_index().unit_vectors(), units)
             from_vectors = DecompositionEmbeddings.from_vectors(
                 inputs.original, inputs.positives, inputs.negatives)
             assert np.array_equal(from_vectors.normalized().rows, units)
@@ -122,9 +130,10 @@ def test_every_normalizer_divides_by_np_linalg_norm(case):
             with pytest.raises(Exception) as info:
                 call()
             assert type(info.value) is error
-        with pytest.raises(Exception, match=f"doc 'd{first}'") as info:
-            FlatIndex.from_matrix(ids, m)
-        assert type(info.value) is error
+        for make_index in indexes:
+            with pytest.raises(Exception, match=f"doc 'd{first}'") as info:
+                make_index()
+            assert type(info.value) is error
 
 
 def test_pca_needs_two_points():
