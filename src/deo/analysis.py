@@ -78,17 +78,9 @@ def export_trajectory(
         if gold not in index:
             raise MissingGoldError(f"gold doc {gold!r} is not in the index")
 
-    steps_xy = np.stack([pca_project(basis, snap) for snap in trace.snapshots])
-    positives_xy = (
-        np.stack([pca_project(basis, p) for p in inputs.positives])
-        if inputs.num_positives
-        else np.zeros((0, 2))
-    )
-    negatives_xy = (
-        np.stack([pca_project(basis, n) for n in inputs.negatives])
-        if inputs.num_negatives
-        else np.zeros((0, 2))
-    )
+    def project(rows) -> np.ndarray:
+        return np.array([pca_project(basis, row) for row in rows]).reshape(len(rows), 2)
+
     gold_points = tuple(
         (gold, *(float(c) for c in pca_project(basis, index.vector(gold))))
         for gold in gold_ids
@@ -100,10 +92,10 @@ def export_trajectory(
         for doc_id in all_ids[::stride]
     )
     return TrajectoryExport(
-        steps_xy=steps_xy,
+        steps_xy=project(trace.snapshots),
         losses=np.asarray(trace.losses, dtype=np.float64),
-        positives_xy=positives_xy,
-        negatives_xy=negatives_xy,
+        positives_xy=project(inputs.positives),
+        negatives_xy=project(inputs.negatives),
         gold_points=gold_points,
         corpus_points=corpus_points,
         baseline_rank=_best_gold_rank(index, trace.initial, gold_ids),

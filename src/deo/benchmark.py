@@ -31,6 +31,7 @@ from .decomposer import (
 )
 from .errors import (
     ConfigError,
+    DimensionMismatchError,
     EmptyInputError,
     FormatError,
     MissingDecompositionError,
@@ -222,13 +223,18 @@ class QueryPipeline:
 
     def _vector(self, text: str, record_id: str | None = None) -> np.ndarray:
         """The embedding of record_id, else of text, from the query store;
-        else the one _prefetch fetched for text; else MissingEmbeddingError."""
+        else the one _prefetch fetched for text; else MissingEmbeddingError.
+        A vector with a NaN or Inf component raises ValueError."""
         key = self._store_key(text, record_id)
         if key is not None:
-            return self.store.get(key)
-        if text not in self._embedded:
+            vector = self.store.get(key)
+        elif text in self._embedded:
+            vector = self._embedded[text]
+        else:
             raise MissingEmbeddingError(f"no embedding available for {record_id or text!r}")
-        return self._embedded[text].copy()
+        if not np.isfinite(vector).all():
+            raise ValueError(f"the embedding of {record_id or text!r} has NaN or Inf components")
+        return vector
 
     def decomposition(self, query_id: str, text: str) -> DecomposedQuery:
         """The query's decomposition, memoized by query id.
@@ -253,15 +259,40 @@ class QueryPipeline:
     def embeddings(self, query_id: str, text: str) -> DecompositionEmbeddings:
         """The query's decomposition, embedded: the optimizer's input."""
         self._prefetch([(query_id, text)])
-        return self._inputs(query_id, text)
+        rows, counts, _ = self._gather([(query_id, text)], subqueries=True)
+        return DecompositionEmbeddings(rows, counts[0][0])
 
-    def _inputs(self, query_id: str, text: str) -> DecompositionEmbeddings:
-        entry = self.decomposition(query_id, text)
-        return DecompositionEmbeddings.from_vectors(
-            self._vector(text, query_id),
-            [self._vector(t) for t in entry.positives],
-            [self._vector(t) for t in entry.negatives],
-        )
+    def _gather(self, block, subqueries: bool):
+        """A block of (query_id, text) pairs' raw embeddings as one (n, d)
+        matrix, query after query in the DecompositionEmbeddings layout: its
+        own vector, then (with `subqueries`) its K positive and M negative
+        vectors. Returns the matrix, each query's (K, M) and None. When a
+        query cannot be resolved (no decomposition or embedding, a NaN or Inf
+        component, or another dimension than the block's first vector), it
+        returns those of the queries before it and that query's error; the
+        block's first query raises it.
+        """
+        rows: list[np.ndarray] = []
+        counts: list[tuple[int, int]] = []
+        try:
+            for query_id, text in block:
+                entry = self.decomposition(query_id, text) if subqueries else None
+                found = [self._vector(text, query_id)]
+                if entry is not None:
+                    found += [self._vector(t) for t in (*entry.positives, *entry.negatives)]
+                dim = (rows or found)[0].shape[0]
+                for vector in found:
+                    if vector.shape[0] != dim:
+                        raise DimensionMismatchError(f"query {query_id!r} has a vector of "
+                                                     f"dimension {vector.shape[0]}, expected {dim}")
+                rows += found
+                counts.append((len(entry.positives), len(entry.negatives)) if entry else (0, 0))
+        except (MissingDecompositionError, MissingEmbeddingError, DimensionMismatchError,
+                ValueError) as exc:
+            if not counts:
+                raise
+            return np.array(rows), counts, exc
+        return np.array(rows), counts, None
 
     def rank(self, index: FlatIndex, system: str, queries, k: int,
              optimizer: OptimizationConfig):
@@ -269,15 +300,14 @@ class QueryPipeline:
         `queries`, in order, as `system` ranks it.
 
         Online, the misses of all the queries are fetched first (_prefetch).
-        Queries go in blocks of index.SEARCH_BLOCK, one search_many call per
-        block, so a block's rankings are yielded together. Each query's
-        vectors are produced in order, as search_many takes them or, for deo,
-        before one optimize_many call over the block, so a bad query raises
-        before later ones are resolved. baseline searches with the query
-        vector, deo with the optimized one, avg_only with the mean of the
-        query and sub-query vectors; rrf_only rank-fuses the rankings of
-        every sub-query vector, or searches with the query vector when there
-        are no sub-queries.
+        Each block of index.SEARCH_BLOCK queries is gathered into one matrix
+        (_gather) and ranked with one search_many call. baseline searches with
+        the query vectors, deo with the optimized ones (one optimize_many
+        call), avg_only with the mean of each query's rows; rrf_only fuses
+        the rankings of a query's sub-query vectors, or searches with the
+        query vector when there are none. The queries gathered before one
+        that cannot be are still searched, so the first bad query raises, and
+        nothing of its block is yielded.
         """
         if system not in KNOWN_SYSTEMS:
             raise ConfigError(f"unknown system {system!r}")
@@ -287,34 +317,27 @@ class QueryPipeline:
         self._prefetch(queries, subqueries=system != "baseline")
         for start in range(0, len(queries), index_module.SEARCH_BLOCK):
             block = queries[start : start + index_module.SEARCH_BLOCK]
-            groups: list[tuple[int, bool]] = []  # per query: vectors, rank-fused?
+            rows, counts, error = self._gather(block, subqueries=system != "baseline")
+            sizes = [1 + n_pos + n_neg for n_pos, n_neg in counts]
+            starts = np.cumsum([0, *sizes])[:-1]
+            fused = np.zeros(len(sizes), dtype=bool)
+            searched = rows  # baseline gathers one row per query
             if system == "deo":
-                optimized = iter([final for final, _ in optimize_many(
-                    [self._inputs(query_id, text) for query_id, text in block], optimizer)])
-
-            def vectors():
-                for query_id, text in block:
-                    fused = False
-                    if system == "baseline":
-                        found = [self._vector(text, query_id)]
-                    elif system == "deo":
-                        found = [next(optimized)]
-                    else:
-                        rows = self._inputs(query_id, text).rows
-                        if system == "avg_only":
-                            found = [rows.mean(axis=0)]
-                        elif len(rows) > 1:
-                            found, fused = rows[1:], True
-                        else:
-                            # nothing to fuse; degrade to the plain query
-                            found = rows
-                    groups.append((len(found), fused))
-                    yield from found
-
-            lists = iter(index.search_many(vectors(), k=k))
-            for (query_id, _), (count, fused) in zip(block, groups):
-                own = [next(lists) for _ in range(count)]
-                yield query_id, rrf_fuse(own, k=k, k_rrf=RRF_K) if fused else own[0]
+                searched = optimize_many(rows, counts, optimizer)[:, -1]
+            elif system == "avg_only":
+                searched = np.array([rows[s : s + n].mean(axis=0) for s, n in zip(starts, sizes)])
+            elif system == "rrf_only":
+                # every sub-query row; a query's own row only when it has none
+                fused = np.array(sizes) > 1
+                keep = np.ones(len(rows), dtype=bool)
+                keep[starts[fused]] = False
+                searched = rows[keep]
+            lists = iter(index.search_many(searched, k=k))
+            if error is not None:
+                raise error
+            for (query_id, _), size, fuse in zip(block, sizes, fused):
+                own = [next(lists) for _ in range(size - 1 if fuse else 1)]
+                yield query_id, rrf_fuse(own, k=k, k_rrf=RRF_K) if fuse else own[0]
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,9 @@ class ToolConfig:
     max_retries: int = 3
 
     def __post_init__(self) -> None:
+        # NaN fails the comparison too; a NaN temperature cannot be sent as JSON
+        if not 0 <= self.temperature < float("inf"):
+            raise ValueError("temperature must be non-negative and finite")
         if self.max_subqueries < 1:
             raise ValueError("max_subqueries must be >= 1")
         if self.batch_size < 1:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError
 from .ioutil import atomic_write_text
-from .vecmath import l2_normalize, row_norms
+from .vecmath import row_norms
 
 # Queries scored per matrix product in FlatIndex.search_many.
 SEARCH_BLOCK = 64
@@ -147,30 +147,28 @@ class FlatIndex:
         return self.search_many([query], k)[0]
 
     def search_many(self, queries, k: int = 10) -> list[RankedList]:
-        """search() for each query of an iterable, in order.
+        """search() for each row of an (R, d) array or each vector of a
+        sequence, in order.
 
-        Each query is normalized as it is taken from the iterable, so a bad
-        query raises before later ones are produced.
+        All rows are normalized with one row_norms call, so the first bad row
+        raises, naming it as query i (its 0-based place in `queries`).
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        units = [self._unit_query(q) for q in queries]
+        queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"queries of shape {queries.shape} do not match index dimension {self.dim}"
+            )
+        units = queries / row_norms(queries, lambda i: f"query {i}")[:, None]
         results: list[RankedList] = []
         for start in range(0, len(units), SEARCH_BLOCK):
-            block = np.stack(units[start : start + SEARCH_BLOCK])
+            block = units[start : start + SEARCH_BLOCK]
             screen = block.astype(self._matrix.dtype, copy=False) @ self._matrix.T
             screen = screen / self._norms
             for q, scores in zip(block, screen):
                 results.append(self._top_k(q, scores, k))
         return results
-
-    def _unit_query(self, query) -> np.ndarray:
-        q = l2_normalize(query)
-        if q.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"query has dimension {q.shape[0]}, index has {self.dim}"
-            )
-        return q
 
     def _top_k(self, q: np.ndarray, approx: np.ndarray, k: int) -> RankedList:
         # The screen is computed in the corpus dtype, and its last bits depend

@@ -84,19 +84,13 @@ class DecompositionEmbeddings:
 
     @classmethod
     def from_vectors(cls, original, positives=(), negatives=()) -> "DecompositionEmbeddings":
-        e_o = as_vector(original)
-        d = e_o.shape[0]
-        blocks = []
-        for label, vectors in (("positive", positives), ("negative", negatives)):
-            block = [as_vector(v) for v in vectors]
-            for r in block:
-                if r.shape[0] != d:
-                    raise DimensionMismatchError(
-                        f"{label} vector has dimension {r.shape[0]}, expected {d}"
-                    )
-            blocks.append(block)
-        positives, negatives = blocks
-        return cls(np.stack([e_o, *positives, *negatives]), len(positives))
+        positives = [as_vector(v) for v in positives]
+        rows = [as_vector(original), *positives, *(as_vector(v) for v in negatives)]
+        for row in rows:
+            if row.shape[0] != rows[0].shape[0]:
+                raise DimensionMismatchError(
+                    f"sub-query vector has dimension {row.shape[0]}, expected {rows[0].shape[0]}")
+        return cls(np.stack(rows), len(positives))
 
     @property
     def dim(self) -> int:
@@ -159,23 +153,27 @@ class OptimizationTrace:
         return self.snapshots[-1]
 
 
-def convexity_margin(inputs: DecompositionEmbeddings, cfg: OptimizationConfig) -> float:
-    """Quadratic coefficient of the objective; positive means a unique minimizer."""
+def convexity_margin(num_positives: int, num_negatives: int, cfg: OptimizationConfig) -> float:
+    """Quadratic coefficient of the objective of a query with K = num_positives
+    and M = num_negatives; positive means a unique minimizer."""
     c = cfg.lambda_o
-    if inputs.num_positives:
+    if num_positives:
         c += cfg.lambda_p
-    if inputs.num_negatives:
+    if num_negatives:
         c -= cfg.lambda_n
     return c
 
 
-def deo_loss(e_u, inputs: DecompositionEmbeddings, cfg: OptimizationConfig) -> float:
-    """Evaluate the contrastive objective at e_u."""
+def _point(e_u, inputs: DecompositionEmbeddings) -> np.ndarray:
     e = as_vector(e_u)
     if e.shape[0] != inputs.dim:
-        raise DimensionMismatchError(
-            f"e_u has dimension {e.shape[0]}, inputs have {inputs.dim}"
-        )
+        raise DimensionMismatchError(f"e_u has dimension {e.shape[0]}, inputs have {inputs.dim}")
+    return e
+
+
+def deo_loss(e_u, inputs: DecompositionEmbeddings, cfg: OptimizationConfig) -> float:
+    """Evaluate the contrastive objective at e_u."""
+    e = _point(e_u, inputs)
     diff_o = e - inputs.original
     loss = cfg.lambda_o * float(np.dot(diff_o, diff_o))
     if inputs.num_positives:
@@ -189,11 +187,7 @@ def deo_loss(e_u, inputs: DecompositionEmbeddings, cfg: OptimizationConfig) -> f
 
 def deo_gradient(e_u, inputs: DecompositionEmbeddings, cfg: OptimizationConfig) -> np.ndarray:
     """Analytic gradient of deo_loss with respect to e_u."""
-    e = as_vector(e_u)
-    if e.shape[0] != inputs.dim:
-        raise DimensionMismatchError(
-            f"e_u has dimension {e.shape[0]}, inputs have {inputs.dim}"
-        )
+    e = _point(e_u, inputs)
     grad = 2.0 * cfg.lambda_o * (e - inputs.original)
     if inputs.num_positives:
         grad += 2.0 * cfg.lambda_p * (e - inputs.positives.mean(axis=0))
@@ -212,7 +206,7 @@ def closed_form_optimum(
     NotStronglyConvexError when c <= 0 (the loss is unbounded below, though
     finite-step optimization remains well defined).
     """
-    c = convexity_margin(inputs, cfg)
+    c = convexity_margin(inputs.num_positives, inputs.num_negatives, cfg)
     if c <= 0:
         raise NotStronglyConvexError(
             f"objective has no finite minimizer (quadratic coefficient {c:g} <= 0)"
@@ -235,27 +229,32 @@ def optimize_query_embedding(
     positives and no negatives the gradient vanishes at the start and the
     initialization is returned unchanged.
     """
-    return optimize_many([inputs], cfg)[0]
+    snapshots = optimize_many(inputs.rows, [(inputs.num_positives, inputs.num_negatives)], cfg)[0]
+    work = inputs.normalized() if cfg.normalize_inputs else inputs
+    return snapshots[-1].copy(), OptimizationTrace(snapshots=snapshots, inputs=work, config=cfg)
 
 
-def optimize_many(
-    inputs_list, cfg: OptimizationConfig
-) -> list[tuple[np.ndarray, OptimizationTrace]]:
-    """optimize_query_embedding for each inputs, run as one (Q, d) Adam loop.
+def optimize_many(rows, counts, cfg: OptimizationConfig) -> np.ndarray:
+    """optimize_query_embedding for a block of queries, run as one (Q, d) Adam
+    loop; returns the (Q, steps + 1, d) snapshots.
 
-    Adam is elementwise and each query's gradient terms are added only to its
-    own row, so every result is bit-identical to a run of the query alone,
-    whatever the batch. All inputs must share one dimension.
+    rows stacks each query's DecompositionEmbeddings rows one query after
+    another (its original, then its K positives, then its M negatives), and
+    counts holds each query's (K, M). Adam is elementwise and each query's
+    gradient terms are added only to its own row, so every query's snapshots
+    are bit-identical to a run of the query alone, whatever the block.
     """
-    work = [x.normalized() if cfg.normalize_inputs else x for x in inputs_list]
-    if not work:
-        return []
-    dim = work[0].dim
-    for x in work:
-        if x.dim != dim:
-            raise DimensionMismatchError(f"inputs of dimension {x.dim} and {dim} in one batch")
-        c = convexity_margin(x, cfg)
-        if c <= 0 and (x.num_positives or x.num_negatives):
+    rows = np.asarray(rows, dtype=np.float64)
+    sizes = [1 + n_pos + n_neg for n_pos, n_neg in counts]
+    if rows.ndim != 2 or sum(sizes) != len(rows):
+        raise DimensionMismatchError(
+            f"rows of shape {rows.shape} do not hold {len(counts)} queries of {sum(sizes)} rows")
+    if cfg.normalize_inputs:
+        rows = rows / row_norms(rows)[:, None]
+    starts = np.cumsum([0, *sizes])[:-1]
+    for n_pos, n_neg in counts:
+        c = convexity_margin(n_pos, n_neg, cfg)
+        if c <= 0 and (n_pos or n_neg):
             logger.warning(
                 "objective is not strongly convex (c=%g); running %d finite steps anyway",
                 c,
@@ -264,14 +263,16 @@ def optimize_many(
 
     # each query's centroids once; a term is added only to the rows that have
     # it, since adding a masked 0.0 would turn a -0.0 gradient component into 0.0
-    originals = np.stack([x.original for x in work])
-    has_p = np.array([x.num_positives > 0 for x in work])
-    has_n = np.array([x.num_negatives > 0 for x in work])
-    mu_p = np.array([x.positives.mean(axis=0) for x in work if x.num_positives])
-    mu_n = np.array([x.negatives.mean(axis=0) for x in work if x.num_negatives])
+    originals = rows[starts]
+    has_p = np.array([n_pos > 0 for n_pos, _ in counts], dtype=bool)
+    has_n = np.array([n_neg > 0 for _, n_neg in counts], dtype=bool)
+    mu_p = np.array([rows[s + 1 : s + 1 + n_pos].mean(axis=0)
+                     for s, (n_pos, _) in zip(starts, counts) if n_pos])
+    mu_n = np.array([rows[s + 1 + n_pos : s + 1 + n_pos + n_neg].mean(axis=0)
+                     for s, (n_pos, n_neg) in zip(starts, counts) if n_neg])
 
     e = originals
-    snapshots = np.empty((len(work), cfg.steps + 1, dim))
+    snapshots = np.empty((len(counts), cfg.steps + 1, rows.shape[1]))
     snapshots[:, 0] = e
     m = np.zeros_like(e)
     v = np.zeros_like(e)
@@ -296,8 +297,4 @@ def optimize_many(
         )
         e = e - update
         snapshots[:, t] = e
-
-    return [
-        (trace[-1].copy(), OptimizationTrace(snapshots=trace, inputs=x, config=cfg))
-        for x, trace in zip(work, snapshots)
-    ]
+    return snapshots

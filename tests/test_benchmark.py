@@ -1,9 +1,13 @@
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deo.benchmark import (
     BenchmarkConfig,
@@ -16,13 +20,14 @@ from deo.benchmark import (
 )
 from deo.errors import (
     ConfigError,
+    DimensionMismatchError,
     FormatError,
     MissingDecompositionError,
     MissingEmbeddingError,
     ZeroVectorError,
 )
 from deo.index import FlatIndex, rrf_fuse
-from deo.optimizer import OptimizationConfig
+from deo.optimizer import DecompositionEmbeddings, OptimizationConfig, optimize_query_embedding
 from deo.store import EmbeddingStore
 
 
@@ -384,22 +389,130 @@ def test_offline_missing_subquery_embedding(tmp_path):
         run_benchmark(cfg)
 
 
+FLAWS = ("ok", "zero", "nan", "no_decomposition", "no_embedding", "wrong_dim")
+
+
+def seen_error(system, flaw):
+    """The error a query with this flaw raises when `system` ranks it, or
+    None when the system never reads what is wrong with it."""
+    if flaw == "zero":  # only a searched or normalized own vector is divided by its norm
+        return ZeroVectorError if system in ("baseline", "deo") else None
+    if flaw == "no_decomposition":
+        return None if system == "baseline" else MissingDecompositionError
+    return {"ok": None, "nan": ValueError, "no_embedding": MissingEmbeddingError,
+            "wrong_dim": DimensionMismatchError}[flaw]
+
+
+class FiveDimEmbedClient:
+    """An endpoint whose vectors are longer than the query store's."""
+
+    def embed(self, texts):
+        return [np.full(5, 0.5) for _ in texts]
+
+
 @pytest.mark.parametrize("system", ["baseline", "deo", "avg_only", "rrf_only"])
-def test_first_bad_query_raises_first(tmp_path, system):
-    # q1's vector cannot be normalized and q2's is missing. baseline stops at
-    # q1, as it did when every query was searched on its own; deo gathers the
-    # whole block's inputs before normalizing any, and avg_only and rrf_only
-    # search q1 through its nonzero sub-query vectors, so they stop at q2
-    error, match = ((ZeroVectorError, None) if system == "baseline"
-                    else (MissingEmbeddingError, "'q2'"))
-    cfg = build_env(tmp_path, systems=system)
-    qstore = EmbeddingStore(dim=4, model="test-enc")
-    for key, vec in QUERY_VECS.items():
-        if key != "q2":
-            qstore.add(key, np.zeros(4) if key == "q1" else vec)
-    qstore.save_jsonl(tmp_path / "queries.emb.jsonl")
-    with pytest.raises(error, match=match):
-        run_benchmark(cfg)
+def test_first_bad_query_raises_first(tmp_path, monkeypatch, system):
+    # q1 and q2 each have one flaw (or none); the first query whose flaw the
+    # system reads raises its error, in one block or one block per query. A
+    # wrong-dimension vector comes from an endpoint, so it cannot be paired
+    # with an embedding that no endpoint provides.
+    pairs = [(a, b) for a in FLAWS for b in FLAWS
+             if a != b and {a, b} != {"no_embedding", "wrong_dim"}]
+    for flaws in pairs:
+        case = tmp_path / "-".join(flaws)
+        case.mkdir()
+        flaw_of = dict(zip(("q1", "q2"), flaws))
+        cfg = replace(build_env(case, systems=system), offline="wrong_dim" not in flaws)
+        qstore = EmbeddingStore(dim=4, model="test-enc")
+        for key, vec in QUERY_VECS.items():
+            flaw = flaw_of.get(key, "ok")
+            if flaw not in ("no_embedding", "wrong_dim"):
+                qstore.add(key, {"zero": np.zeros(4), "nan": np.full(4, np.nan)}.get(flaw, vec))
+        qstore.save_jsonl(case / "queries.emb.jsonl")
+        rows = [row for row in CACHE_ROWS if flaw_of.get(row["query_id"]) != "no_decomposition"]
+        (case / "cache.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        errors = [(qid, seen_error(system, flaw)) for qid, flaw in flaw_of.items()
+                  if seen_error(system, flaw)]
+        for block in (64, 1):
+            monkeypatch.setattr("deo.index.SEARCH_BLOCK", block)
+            if not errors:
+                run_benchmark(cfg, embed_client=FiveDimEmbedClient())
+                continue
+            with pytest.raises(Exception) as info:
+                run_benchmark(cfg, embed_client=FiveDimEmbedClient())
+            query_id, error = errors[0]
+            assert type(info.value) is error, (flaws, block, info.value)
+            if error in (MissingDecompositionError, MissingEmbeddingError, ValueError):
+                assert f"'{query_id}'" in str(info.value), (flaws, block)
+
+
+@st.composite
+def ranking_cases(draw):
+    """Queries with ragged K and M in 0..3 (K = M = 0 included), vectors that
+    share an all -0.0 column or not, settings that reach zero steps and
+    unnormalized inputs, and a search block small enough to split them."""
+    n_queries = draw(st.integers(1, 7))
+    shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=n_queries, max_size=n_queries))
+    cfg = OptimizationConfig(steps=draw(st.sampled_from([20, 0, 3])),
+                             lambda_n=draw(st.sampled_from([1.0, 3.0])),
+                             normalize_inputs=draw(st.booleans()))
+    return (shapes, cfg, draw(st.sampled_from([4, 8])), draw(st.booleans()),
+            draw(st.sampled_from([1, 2, 3, 64])), draw(st.sampled_from([1, 5, 40])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def reference_ranking(index, system, own, positives, negatives, k, cfg):
+    """One query ranked on its own, the way each system is defined."""
+    inputs = DecompositionEmbeddings.from_vectors(own, positives, negatives)
+    if system == "deo":
+        return index.search(optimize_query_embedding(inputs, cfg)[0], k)
+    if system == "avg_only":
+        return index.search(inputs.rows.mean(axis=0), k)
+    if system == "rrf_only" and len(inputs.rows) > 1:
+        return rrf_fuse([index.search(v, k) for v in inputs.rows[1:]], k=k, k_rrf=60.0)
+    return index.search(own, k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(ranking_cases())
+def test_rank_equals_per_query_reference(case):
+    shapes, cfg, d, negative_zero, block, k, seed = case
+    rng = np.random.default_rng(seed)
+
+    def vector():
+        # float32 values, so the store gives back exactly these bits
+        v = rng.normal(size=d).astype(np.float32).astype(np.float64)
+        if negative_zero:
+            v[0] = -0.0
+        return v
+
+    index = FlatIndex.build((f"d{i:02d}", vector()) for i in range(30))
+    queries = [(f"q{i}", f"query {i}") for i in range(len(shapes))]
+    store = EmbeddingStore(dim=d)
+    vectors, rows = {}, []
+    for (query_id, text), (n_pos, n_neg) in zip(queries, shapes):
+        positives = [f"{text} +{j}" for j in range(n_pos)]
+        negatives = [f"{text} -{j}" for j in range(n_neg)]
+        for key in (query_id, *positives, *negatives):
+            vectors[key] = vector()
+            store.add(key, vectors[key])
+        rows.append({"query_id": query_id, "query": text, "positives": positives,
+                     "negatives": negatives, "model": "m"})
+    with tempfile.TemporaryDirectory() as tmp:
+        store.save_jsonl(Path(tmp) / "q.emb.jsonl")
+        (Path(tmp) / "cache.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        pipeline = QueryPipeline(str(Path(tmp) / "q.emb.jsonl"), str(Path(tmp) / "cache.jsonl"),
+                                 model="m")
+    for system in ("baseline", "deo", "avg_only", "rrf_only"):
+        with mock.patch("deo.index.SEARCH_BLOCK", block):
+            ranked = list(pipeline.rank(index, system, queries, k, cfg))
+        expected = [(query_id, reference_ranking(
+            index, system, vectors[query_id], [vectors[t] for t in row["positives"]],
+            [vectors[t] for t in row["negatives"]], k, cfg)) for (query_id, _), row in zip(queries, rows)]
+        # float.hex tells -0.0 from 0.0
+        assert [(q, r.doc_ids, [s.hex() for s in r.scores]) for q, r in ranked] == \
+            [(q, r.doc_ids, [s.hex() for s in r.scores]) for q, r in expected], system
 
 
 def test_rrf_only_fuses_each_querys_own_lists(tmp_path):

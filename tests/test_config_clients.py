@@ -84,6 +84,9 @@ def test_tool_config_rejects_unknown_and_bad_values(tmp_path):
     ("concurrency", "0"),
     ("timeout", "0"),
     ("timeout", "-2.5"),
+    ("temperature", "nan"),
+    ("temperature", "inf"),
+    ("temperature", "-0.5"),
 ])
 def test_tool_config_rejects_values_that_break_later(key, value):
     with pytest.raises(ConfigError, match=f"<config>: {key} must be"):

@@ -193,19 +193,20 @@ def test_search_many_ignores_batch_order(seed):
     assert [forward[i] for i in perm] == shuffled
 
 
-def test_search_many_consumes_queries_lazily():
+def test_search_many_names_the_first_bad_query():
     index = FlatIndex.build([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
-    produced = []
-
-    def queries():
-        for q in ([1.0, 0.0], [0.0, 0.0], [0.0, 1.0]):
-            produced.append(q)
-            yield q
-
-    with pytest.raises(ZeroVectorError):
-        index.search_many(queries(), 1)
-    assert len(produced) == 2  # stopped at the first bad query
-    assert index.search_many([], 3) == []
+    # every row is checked before any is searched; the first bad one is named
+    with pytest.raises(ZeroVectorError, match="^query 1 "):
+        index.search_many([[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]], 1)
+    with pytest.raises(ValueError, match="^query 2 "):
+        index.search_many(np.array([[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]]), 1)
+    # the shape is checked once, and a query is never reshaped
+    for queries in (np.ones((2, 3)), np.ones(2), [[[1.0, 0.0]]]):
+        with pytest.raises(DimensionMismatchError):
+            index.search_many(queries, 1)
+    with pytest.raises(DimensionMismatchError):
+        index.search([[1.0, 0.0]], 1)
+    assert index.search_many(np.empty((0, 2)), 3) == []
 
 
 def float64_oracle(ids, vectors, query, k):

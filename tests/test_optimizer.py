@@ -131,7 +131,7 @@ def test_closed_form_optimum_formula_and_stationarity():
             lambda_n=float(rng.uniform(0.0, 0.9)),
             lambda_o=float(rng.uniform(0.2, 1.5)),
         )
-        if convexity_margin(inputs, cfg) <= 0:
+        if convexity_margin(k, m, cfg) <= 0:
             continue
         opt = closed_form_optimum(inputs, cfg)
         # independent recomputation of the stationary point
@@ -310,28 +310,37 @@ def optimizer_batches(draw):
     return batch, cfg
 
 
+def stacked(batch):
+    """A batch of DecompositionEmbeddings as optimize_many takes it: every
+    query's rows one after another, and each query's (K, M)."""
+    return (np.concatenate([x.rows for x in batch]),
+            [(x.num_positives, x.num_negatives) for x in batch])
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(optimizer_batches())
 @example(([DecompositionEmbeddings.from_vectors([1.0, -2.0]),
            DecompositionEmbeddings.from_vectors([0.5, 1.0], [[1.0, 0.0]], [[0.0, 1.0]])],
           OptimizationConfig(lambda_n=3.0, lambda_o=0.0, epsilon=0.0)))
+@example(([DecompositionEmbeddings.from_vectors([-0.0, 1.0], [[-0.0, 2.0], [-0.0, 3.0]]),
+           DecompositionEmbeddings.from_vectors([-0.0, -1.0], [], [[-0.0, 1.0]])],
+          OptimizationConfig(steps=3)))
 def test_optimize_many_equals_single_runs(case):
     batch, cfg = case
     with optimizer_warnings() as batch_warnings:
-        many = optimize_many(batch, cfg)
+        many = optimize_many(*stacked(batch), cfg)
     with optimizer_warnings() as single_warnings:
         singles = [optimize_query_embedding(x, cfg) for x in batch]
-    assert len(many) == len(batch)
+    assert many.shape == (len(batch), cfg.steps + 1, batch[0].dim)
     expected_warnings = []
-    for inputs, (final, trace), (final_1, trace_1) in zip(batch, many, singles):
+    for inputs, snapshots_q, (final_1, trace_1) in zip(batch, many, singles):
         snapshots, losses = reference_optimize(inputs, cfg)
-        assert same_bits(trace.snapshots, snapshots)
+        assert same_bits(snapshots_q, snapshots)
         assert same_bits(trace_1.snapshots, snapshots)
-        assert same_bits(final, snapshots[-1]) and same_bits(final_1, snapshots[-1])
-        assert same_bits(trace.losses, losses) and same_bits(trace_1.losses, losses)
-        work = inputs.normalized() if cfg.normalize_inputs else inputs
-        c = convexity_margin(work, cfg)
-        if c <= 0 and (work.num_positives or work.num_negatives):
+        assert same_bits(final_1, snapshots[-1])
+        assert same_bits(trace_1.losses, losses)
+        c = convexity_margin(inputs.num_positives, inputs.num_negatives, cfg)
+        if c <= 0 and (inputs.num_positives or inputs.num_negatives):
             expected_warnings.append(f"objective is not strongly convex (c={c:g}); "
                                      f"running {cfg.steps} finite steps anyway")
     # one warning per non-convex query, in input order
@@ -339,22 +348,25 @@ def test_optimize_many_equals_single_runs(case):
 
 
 def test_optimize_many_computes_losses_only_when_read(monkeypatch):
+    # optimize_many returns snapshots only; a trace evaluates its losses on
+    # first read, once
     calls = []
     real_loss = optimizer.deo_loss
     monkeypatch.setattr(optimizer, "deo_loss", lambda *a: calls.append(1) or real_loss(*a))
     rng = np.random.default_rng(15)
-    results = optimize_many([make_inputs(rng, 5, 2, 1) for _ in range(3)],
-                            OptimizationConfig(steps=4))
+    batch = [make_inputs(rng, 5, 2, 1) for _ in range(3)]
+    optimize_many(*stacked(batch), OptimizationConfig(steps=4))
+    _, trace = optimize_query_embedding(batch[1], OptimizationConfig(steps=4))
     assert calls == []
-    trace = results[1][1]
     assert trace.losses.shape == (5,)
     assert len(calls) == 5
     assert trace.losses is trace.losses and len(calls) == 5
 
 
 def test_optimize_many_edge_batches():
-    assert optimize_many([], OptimizationConfig()) == []
+    assert optimize_many(np.empty((0, 3)), [], OptimizationConfig(steps=2)).shape == (0, 3, 3)
     rng = np.random.default_rng(16)
-    with pytest.raises(DimensionMismatchError):
-        optimize_many([make_inputs(rng, 3, 1, 1), make_inputs(rng, 4, 1, 1)],
-                      OptimizationConfig())
+    rows, counts = stacked([make_inputs(rng, 3, 1, 1), make_inputs(rng, 3, 2, 0)])
+    for bad_rows, bad_counts in ((rows[:-1], counts), (rows, counts[:1]), (rows[0], counts[:0])):
+        with pytest.raises(DimensionMismatchError):
+            optimize_many(bad_rows, bad_counts, OptimizationConfig())
