@@ -2,7 +2,8 @@
 
 The index keeps the corpus vectors plus one float64 norm per row:
 FlatIndex.build copies its records to float64, and FlatIndex.from_store
-scores a store's read-only float32 matrix in place. Queries are scored in
+scores a store's read-only float32 matrix in place, taking a v3 store's
+stored norms and id rank instead of recomputing them. Queries are scored in
 blocks of SEARCH_BLOCK rows, one matrix product in the corpus dtype per block
 against the whole corpus; that product only picks candidates, whose final
 scores are recomputed in float64 one query at a time, so a query ranks the
@@ -18,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError
 from .ioutil import atomic_write_text
-from .vecmath import row_norms
+from .store import id_rank
+from .vecmath import check_norms, raw_row_norms, row_norms
 
 # Queries scored per matrix product in FlatIndex.search_many.
 SEARCH_BLOCK = 64
@@ -56,15 +58,13 @@ class FlatIndex:
     """Brute-force cosine index. Exact by construction, no ANN structures."""
 
     def __init__(self, doc_ids: list[str], positions: dict[str, int], matrix: np.ndarray,
-                 norms: np.ndarray):
+                 norms: np.ndarray, rank: np.ndarray | None = None):
         self._doc_ids = doc_ids
         self._positions = positions  # doc id -> row
         self._matrix = matrix  # float64 rows, or a store's float32 matrix
         self._norms = norms  # float64 L2 norm of each row
         # integer tie-break key: each row's place in ascending doc id order
-        n = len(doc_ids)
-        self._id_rank = np.empty(n, dtype=np.int64)
-        self._id_rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
+        self._id_rank = id_rank(doc_ids) if rank is None else rank
 
     @classmethod
     def build(cls, records) -> "FlatIndex":
@@ -99,18 +99,21 @@ class FlatIndex:
     @classmethod
     def from_store(cls, store) -> "FlatIndex":
         """Index an EmbeddingStore in place: its read-only float32 matrix,
-        its id list and its id -> row map are used without a copy, so the
-        store must not change afterwards. Raises EmptyInputError for an
-        empty store, then the first bad row's error as in row_norms, naming
-        its doc."""
+        its id list, its id -> row map and, loaded from a v3 file, its norms
+        and id rank are used without a copy, so the store must not change
+        afterwards. Raises EmptyInputError for an empty store, then the
+        first bad row's error as in row_norms, naming its doc."""
         if not len(store):
             raise EmptyInputError("cannot build an index from zero documents")
         matrix = store.matrix
-        norms = row_norms(matrix, lambda i: f"doc {store._ids[i]!r}")
+        norms = store.stored_norms()
+        if norms is None:
+            norms = raw_row_norms(matrix)
+        check_norms(norms, lambda i: f"doc {store._ids[i]!r}")
         if norms.max() > FLOAT32_SCREEN_MAX_NORM:
             # a float32 product with such a row could overflow; screen in float64
             matrix = matrix.astype(np.float64)
-        return cls(store._ids, store._index, matrix, norms)
+        return cls(store._ids, store._index, matrix, norms, store._id_rank)
 
     def __len__(self) -> int:
         return len(self._doc_ids)

@@ -5,9 +5,12 @@ The JSONL format opens with a header object, the binary format with a magic
 string, so either loader can reject the wrong file with a line/offset
 diagnostic instead of garbage.
 
-Binary saves write v2: a header, the ids as one JSON array and the raw
-float32 matrix, which a load maps read-only instead of reading it record by
-record. v1 files (an id and a vector per record) still load.
+Binary saves write v3: a header, one JSON block of the model and the ids,
+the raw float32 matrix, each row's float64 norm and the int64 id rank (each
+row's place in ascending id order). A load maps the last three read-only, so
+indexing a v3 store recomputes neither the norms nor the id order. v2 files
+(no model, norms or id rank) and v1 files (an id and a vector per record)
+still load.
 """
 
 from __future__ import annotations
@@ -18,19 +21,21 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import orjson
 
 from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError, FormatError
 from .ioutil import atomic_write_bytes, loads, read_id, read_jsonl
+from .vecmath import raw_row_norms
 
 JSONL_FORMAT_NAME = "deo-emb"
 JSONL_FORMAT_VERSION = 1
-BINARY_MAGIC = b"DEOEMB2\x00"
+BINARY_MAGIC = b"DEOEMB3\x00"
 _V1_HEADER = struct.Struct("<IQ")  # dim, count
-_V2_HEADER = struct.Struct("<IQQ")  # dim, count, ids-block length
-_V2_ALIGN = 64  # the matrix starts at a multiple of this offset
+_HEADER = struct.Struct("<IQQ")  # v2 and v3: dim, count, ids-block length
+_ALIGN = 64  # every block after the ids block starts at a multiple of this offset
 
 
 @dataclass
@@ -38,7 +43,9 @@ class EmbeddingStore:
     """Ordered id -> float32 vector map with fixed dimension.
 
     The vectors live in one contiguous float32 array whose first len(self)
-    rows are in use; add() grows it by doubling.
+    rows are in use; add() grows it by doubling. A store loaded from a v3
+    file also holds the file's raw_row_norms and id_rank of its rows, which
+    add() drops.
     """
 
     dim: int
@@ -46,6 +53,9 @@ class EmbeddingStore:
     _ids: list[str] = field(default_factory=list, repr=False)
     _index: dict[str, int] = field(default_factory=dict, repr=False)
     _vectors: np.ndarray | None = field(default=None, repr=False)
+    _norms: np.ndarray | None = field(default=None, repr=False)
+    _id_rank: np.ndarray | None = field(default=None, repr=False)
+    _unchecked: str = field(default="", repr=False)  # the v3 file stored_norms has yet to check
 
     def __post_init__(self) -> None:
         if self._vectors is None:
@@ -78,6 +88,8 @@ class EmbeddingStore:
             raise FormatError(
                 f"vector for {record_id!r} has dimension {row.shape[0]}, store has {self.dim}"
             )
+        self._norms = self._id_rank = None
+        self._unchecked = ""
         n = len(self._ids)
         if n == self._vectors.shape[0]:
             grown = np.empty((max(8, 2 * n), self.dim), dtype=np.float32)
@@ -86,6 +98,19 @@ class EmbeddingStore:
         self._vectors[n] = row
         self._index[record_id] = n
         self._ids.append(record_id)
+
+    def stored_norms(self) -> np.ndarray | None:
+        """The raw_row_norms a v3 file stored for these rows, or None.
+
+        The first call checks that no row with a finite stored norm holds a
+        NaN or Inf, raising FormatError naming the file. A load does not, so
+        a store only read by id, like a query store, touches no other rows.
+        Beyond that the norms are trusted, as the matrix itself is.
+        """
+        if self._unchecked:
+            _check_finite_rows(self._unchecked, self.matrix, self._norms)
+            self._unchecked = ""
+        return self._norms
 
     def get(self, record_id: str) -> np.ndarray:
         """Return the vector as float64 for downstream arithmetic."""
@@ -160,40 +185,50 @@ class EmbeddingStore:
     # -- binary --------------------------------------------------------
 
     def save_binary(self, path) -> None:
-        """Write the v2 layout; json.dumps escapes lone surrogates in ids."""
+        """Write the v3 layout; json.dumps escapes lone surrogates in ids.
+
+        The stored norms are raw_row_norms, so a zero or non-finite row
+        still saves and raises only when the store is indexed, as it would
+        from any other format.
+        """
         if not set(map(type, self._ids)) <= {str}:
             raise FormatError("a binary store's ids must all be strings")
-        ids_block = json.dumps(self._ids, separators=(",", ":")).encode()
-        ids_end = len(BINARY_MAGIC) + _V2_HEADER.size + len(ids_block)
-        atomic_write_bytes(path, b"".join((
-            BINARY_MAGIC,
-            _V2_HEADER.pack(self.dim, len(self._ids), len(ids_block)),
-            ids_block,
-            bytes(-ids_end % _V2_ALIGN),
-            memoryview(np.ascontiguousarray(self.matrix, dtype="<f4")),
-        )))
+        meta = json.dumps({"model": self.model, "ids": self._ids}, separators=(",", ":")).encode()
+        matrix = np.ascontiguousarray(self.matrix, dtype="<f4")
+        parts = [BINARY_MAGIC, _HEADER.pack(self.dim, len(self._ids), len(meta)), meta]
+        end = len(BINARY_MAGIC) + _HEADER.size + len(meta)
+        for block in (matrix, raw_row_norms(matrix).astype("<f8"), id_rank(self._ids).astype("<i8")):
+            parts += [bytes(-end % _ALIGN), memoryview(block)]
+            end += -end % _ALIGN + block.nbytes
+        atomic_write_bytes(path, b"".join(parts))
 
     @classmethod
-    def _load_v2(cls, path, fh, size: int) -> "EmbeddingStore":
-        """A v2 file must have exactly the size its header implies before
-        anything is read or mapped, so a header that overstates the count
-        fails without allocating."""
-        head = fh.read(_V2_HEADER.size)
-        ids_start = len(BINARY_MAGIC) + _V2_HEADER.size
-        if len(head) < _V2_HEADER.size:
+    def _load_mapped(cls, path, fh, size: int, v3: bool) -> "EmbeddingStore":
+        """Load a v2 or v3 file. It must have exactly the size its header
+        implies before anything is read or mapped, so a header that
+        overstates the count fails without allocating. A v3 file's norms
+        and id rank are mapped, not recomputed; see _map_v3_tail."""
+        head = fh.read(_HEADER.size)
+        ids_start = len(BINARY_MAGIC) + _HEADER.size
+        if len(head) < _HEADER.size:
             raise FormatError(f"{path}: truncated header: {size} bytes, expected at least {ids_start}")
-        dim, count, ids_len = _V2_HEADER.unpack(head)
+        dim, count, ids_len = _HEADER.unpack(head)
         if dim <= 0:
             raise FormatError(f"{path}: header dim must be positive")
-        ids_end = ids_start + ids_len
-        offset = ids_end + -ids_end % _V2_ALIGN
-        expected = offset + 4 * dim * count
-        if size < expected:
-            raise FormatError(f"{path}: truncated: {size} bytes, header implies {expected}")
-        if size > expected:
+        # (start, end) of the matrix, then in v3 of the norms and the id rank
+        blocks: list[tuple[int, int]] = []
+        end = ids_start + ids_len
+        for nbytes in (4 * dim * count, 8 * count, 8 * count)[: 3 if v3 else 1]:
+            start = end + -end % _ALIGN
+            end = start + nbytes
+            blocks.append((start, end))
+        if size < end:
+            raise FormatError(f"{path}: truncated: {size} bytes, header implies {end}")
+        if size > end:
             raise FormatError(
-                f"{path}: {size - expected} trailing bytes: {size} bytes, header implies {expected}"
+                f"{path}: {size - end} trailing bytes: {size} bytes, header implies {end}"
             )
+        offset = blocks[0][0]
         block = fh.read(offset - ids_start)
         if any(block[ids_len:]):
             raise FormatError(f"{path}: nonzero padding after the ids block")
@@ -201,6 +236,11 @@ class EmbeddingStore:
             ids = loads(block[:ids_len])
         except ValueError:  # bad JSON or bad UTF-8
             ids = None
+        model = ""
+        if v3:
+            if type(ids) is not dict or ids.keys() != {"model", "ids"} or type(ids["model"]) is not str:
+                raise FormatError(f"{path}: ids block is not a JSON object of a model string and ids")
+            model, ids = ids["model"], ids["ids"]
         if type(ids) is not list or len(ids) != count or not set(map(type, ids)) <= {str}:
             raise FormatError(f"{path}: ids block is not a JSON array of {count} strings")
         index = dict(zip(ids, range(count)))
@@ -214,8 +254,12 @@ class EmbeddingStore:
         # replace the file by rename, so the mapped inode never changes
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         vectors = np.frombuffer(mapped, "<f4", count * dim, offset).reshape(count, dim)
-        return cls(dim=dim, _ids=ids, _index=index,
-                   _vectors=vectors.astype(np.float32, copy=False))
+        store = cls(dim=dim, model=model, _ids=ids, _index=index,
+                    _vectors=vectors.astype(np.float32, copy=False))
+        if v3:
+            store._norms, store._id_rank = _map_v3_tail(path, mapped, blocks, count)
+            store._unchecked = f"{path}"
+        return store
 
     @classmethod
     def _load_v1(cls, path, fh, size: int) -> "EmbeddingStore":
@@ -266,7 +310,46 @@ class EmbeddingStore:
                    _vectors=vectors.astype(np.float32, copy=False))
 
 
-_BINARY_LOADERS = {b"DEOEMB1\x00": EmbeddingStore._load_v1, BINARY_MAGIC: EmbeddingStore._load_v2}
+def _map_v3_tail(path, mapped, blocks, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map a v3 file's norms and id rank read-only, after checking the
+    padding before each and that the id rank is a permutation."""
+    (_, matrix_end), (norms_at, norms_end), (rank_at, _) = blocks
+    if any(mapped[matrix_end:norms_at]) or any(mapped[norms_end:rank_at]):
+        raise FormatError(f"{path}: nonzero padding after the matrix or the norms")
+    norms = np.frombuffer(mapped, "<f8", count, norms_at).astype(np.float64, copy=False)
+    rank = np.frombuffer(mapped, "<i8", count, rank_at).astype(np.int64, copy=False)
+    if count and (rank.min() < 0 or rank.max() >= count
+                  or np.count_nonzero(np.bincount(rank, minlength=count)) < count):
+        raise FormatError(f"{path}: id rank block is not a permutation of the {count} rows")
+    return norms, rank
+
+
+def _check_finite_rows(path: str, matrix: np.ndarray, norms: np.ndarray) -> None:
+    """Raise FormatError naming path if a row with a finite stored norm has
+    a NaN or Inf component. Such a component makes its row's sum NaN or Inf,
+    so a finite sum clears the row; only rows whose sum is not finite (an
+    overflow, say) are checked component by component. The sums take one
+    float32 per row, so nothing the size of the matrix is allocated."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = matrix @ np.ones(matrix.shape[1], dtype=np.float32)
+    for i in np.flatnonzero(~np.isfinite(sums) & np.isfinite(norms)):
+        if not np.isfinite(matrix[i]).all():
+            raise FormatError(f"{path}: record {i} has a NaN or Inf component but a finite stored norm")
+
+
+def id_rank(ids: list[str]) -> np.ndarray:
+    """Each row's place in ascending id order, as int64: the tie-break key
+    of every ranking."""
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+_BINARY_LOADERS = {
+    b"DEOEMB1\x00": EmbeddingStore._load_v1,
+    b"DEOEMB2\x00": partial(EmbeddingStore._load_mapped, v3=False),
+    BINARY_MAGIC: partial(EmbeddingStore._load_mapped, v3=True),
+}
 
 
 def load_store(path) -> EmbeddingStore:

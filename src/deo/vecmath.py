@@ -12,8 +12,9 @@ import numpy as np
 from .errors import DimensionMismatchError, InsufficientDataError, ZeroVectorError
 
 ZERO_NORM_EPS = 1e-12
-# Rows whose norms row_norms computes per stacked product.
-NORM_CHUNK = 1024
+# Rows whose norms raw_row_norms computes per stacked product; a float32
+# chunk is copied into one float64 buffer of this many rows.
+NORM_CHUNK = 256
 
 
 def as_vector(v) -> np.ndarray:
@@ -26,23 +27,36 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
-def row_norms(matrix, describe=lambda i: f"row {i}") -> np.ndarray:
-    """Float64 L2 norm of each row of an (n, d) float32 or float64 matrix.
+def raw_row_norms(matrix) -> np.ndarray:
+    """Float64 L2 norm of each row of an (n, d) float32 or float64 matrix,
+    without raising: a row with a NaN component gets NaN, one with an Inf
+    component or an overflowing norm gets NaN or inf, a zero row 0.
 
     Each row gets the bits np.linalg.norm gives it as a float64 vector; this
-    is the one norm every unit vector in the package is divided by. The first
-    bad row in row order raises, named by describe(i): ValueError for a NaN
-    or Inf component or a norm that overflows float64, ZeroVectorError for a
-    norm at or below ZERO_NORM_EPS.
+    is the one norm every unit vector in the package is divided by.
     """
     norms = np.empty(len(matrix))
-    with np.errstate(over="ignore"):  # an overflow is reported below
+    buffer = None
+    if matrix.dtype != np.float64:  # a float64 matrix is read in place
+        buffer = np.empty((min(NORM_CHUNK, len(matrix)), matrix.shape[1]))
+    with np.errstate(over="ignore"):  # an overflow gives inf
         for start in range(0, len(matrix), NORM_CHUNK):
-            rows = matrix[start : start + NORM_CHUNK].astype(np.float64, copy=False)
+            rows = matrix[start : start + NORM_CHUNK]
+            if buffer is not None:
+                buffer[: len(rows)] = rows
+                rows = buffer[: len(rows)]
             # a stack of row @ row: the dot product np.linalg.norm takes for one vector
             np.matmul(rows[:, None, :], rows[:, :, None],
                       out=norms[start : start + len(rows), None, None])
-    np.sqrt(norms, out=norms)
+    return np.sqrt(norms, out=norms)
+
+
+def check_norms(norms: np.ndarray, describe=lambda i: f"row {i}") -> np.ndarray:
+    """Return raw_row_norms output unchanged if every norm can divide its
+    row. Otherwise the first bad row in row order raises, named by
+    describe(i): ValueError for a NaN or Inf component or a norm that
+    overflows float64, ZeroVectorError for a norm at or below ZERO_NORM_EPS.
+    """
     # a NaN or Inf component makes its row's sum of squares NaN or Inf, and
     # NaN fails every comparison
     good = norms > ZERO_NORM_EPS
@@ -53,6 +67,11 @@ def row_norms(matrix, describe=lambda i: f"row {i}") -> np.ndarray:
             raise ValueError(f"{describe(i)} has NaN or Inf components or an infinite norm")
         raise ZeroVectorError(f"{describe(i)} has norm {norms[i]:g} and cannot be normalized")
     return norms
+
+
+def row_norms(matrix, describe=lambda i: f"row {i}") -> np.ndarray:
+    """raw_row_norms of an (n, d) matrix, checked by check_norms."""
+    return check_norms(raw_row_norms(matrix), describe)
 
 
 def l2_normalize(v) -> np.ndarray:

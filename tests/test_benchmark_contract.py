@@ -1,6 +1,7 @@
 """The deo names that benchmarks/ calls or counts, checked through the
 benchmark's own modules: a store written by gen.write_store loads through
-load_store, and spans.instrument records both client methods under the span
+load_store, a generated corpus indexes from its stored norms, and
+spans.instrument records both client methods under the span
 names the benchmark's checks count."""
 
 import importlib.util
@@ -10,6 +11,7 @@ import numpy as np
 
 from deo import clients
 from deo.clients import ChatClient, ClientConfig, EmbeddingClient
+from deo.index import FlatIndex
 from deo.store import load_store
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -32,6 +34,19 @@ def test_generated_store_loads_with_the_same_ids_and_bits(tmp_path):
     assert store.dim == 6
     assert store.matrix.tobytes() == matrix.tobytes()
     assert gen.read_vectors(tmp_path, "corpus")[0] == ids
+
+
+def test_generated_corpus_loads_with_stored_norms_and_id_rank(tmp_path):
+    # the benchmark indexes its corpus from the norms and id rank a v3 store
+    # carries, not from a recomputation
+    gen = benchmark_module("gen")
+    gen.generate(str(tmp_path), seed=5, docs=40, dim=8, queries=4)
+    store = load_store(tmp_path / "corpus.bin")
+    assert store.model == gen.MODEL
+    assert store._norms is not None and store._id_rank is not None
+    index = FlatIndex.from_store(store)
+    assert index._norms is store._norms and index._id_rank is store._id_rank
+    assert index._norms.tobytes() == FlatIndex.build(zip(store.ids, store.matrix))._norms.tobytes()
 
 
 def test_client_methods_are_recorded_under_their_span_names(monkeypatch):

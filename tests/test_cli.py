@@ -718,7 +718,7 @@ def test_ingest_binary_format(tmp_path, mock_api, capsys):
                          "--docs", str(tmp_path / "docs.jsonl"),
                          "--out", str(out_path), "--format", "binary")
     assert code == 0
-    assert out_path.read_bytes().startswith(b"DEOEMB2\x00")
+    assert out_path.read_bytes().startswith(b"DEOEMB3\x00")
     assert load_store(out_path).ids == ["d1"]
 
 

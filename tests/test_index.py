@@ -13,7 +13,7 @@ from deo.errors import (
     ZeroVectorError,
 )
 from deo.index import SEARCH_BLOCK, FlatIndex, RankedList, rrf_fuse, trec_lines, write_trec_run
-from deo.store import EmbeddingStore
+from deo.store import EmbeddingStore, load_store
 from deo.vecmath import ZERO_NORM_EPS, l2_normalize
 
 
@@ -300,6 +300,25 @@ def test_from_store_matches_build(case):
     # each row has the bits l2_normalize gives it on its own
     for unit, row in zip(units, vectors):
         assert unit.tobytes() == l2_normalize(row).tobytes()
+    for k in sorted({1, 5, len(ids)}):
+        assert (_exact_results(stored.search_many(queries, k))
+                == _exact_results(built.search_many(queries, k)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(float32_corpus_and_queries(), st.lists(st.text(max_size=4), min_size=300, max_size=300,
+                                              unique=True))
+def test_from_store_on_a_v3_store_matches_build(tmp_path_factory, case, names):
+    # the stored norms and id rank are the bits build computes, so rankings
+    # match to the last tie, under ids of any order
+    ids, vectors, queries, _ = case
+    ids = [names[int(i[3:])] for i in ids]
+    path = tmp_path_factory.mktemp("v3") / "s.bin"
+    store_of(ids, vectors).save_binary(path)
+    stored = FlatIndex.from_store(load_store(path))
+    built = FlatIndex.build(zip(ids, vectors))
+    assert stored._norms.tobytes() == built._norms.tobytes()
+    assert np.array_equal(stored._id_rank, built._id_rank)
     for k in sorted({1, 5, len(ids)}):
         assert (_exact_results(stored.search_many(queries, k))
                 == _exact_results(built.search_many(queries, k)))

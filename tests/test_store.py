@@ -1,12 +1,16 @@
 import json
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deo import index as index_module
+from deo import store as store_module
+from deo import vecmath
 from deo.cli import main
 from deo.errors import (
     DimensionMismatchError,
@@ -22,7 +26,9 @@ from deo.store import (
     load_store,
     save_store,
 )
+from deo.vecmath import raw_row_norms
 from store_v1 import save_binary_v1
+from store_v2 import V2_IDS_START, save_binary_v2, v2_bytes
 
 
 class CountingEmbedder:
@@ -328,23 +334,10 @@ def test_binary_bad_utf8_id_names_record_and_offset(tmp_path, capsys):
 
 # -- binary v2 ---------------------------------------------------------------
 
-V2_IDS_START = 28  # magic, then <IQQ dim, count, ids-block length
-
-
-def v2_bytes(dim, count, ids_block, padding=None):
-    """A v2 file whose header states dim, count and len(ids_block), padded to
-    64 bytes and followed by count * dim float32 ones: the size is always
-    right, so only the part under test is wrong."""
-    head = b"DEOEMB2\x00" + struct.pack("<IQQ", dim, count, len(ids_block))
-    if padding is None:
-        padding = bytes(-(V2_IDS_START + len(ids_block)) % 64)
-    return head + ids_block + padding + np.ones(count * dim, dtype="<f4").tobytes()
-
-
 def test_unknown_binary_store_version_is_named(tmp_path):
-    path = tmp_path / "v3.bin"
-    path.write_bytes(b"DEOEMB3\x00" + bytes(56))
-    with pytest.raises(FormatError, match=r"v3.bin: unsupported binary store version b'3\\x00'"):
+    path = tmp_path / "v4.bin"
+    path.write_bytes(b"DEOEMB4\x00" + bytes(56))
+    with pytest.raises(FormatError, match=r"v4.bin: unsupported binary store version b'4\\x00'"):
         load_store(path)
 
 
@@ -366,12 +359,21 @@ def test_committed_v1_store_loads_like_the_jsonl_fixture(fixtures_dir):
     assert v1.matrix.tobytes() == text.matrix.tobytes()
 
 
+def test_committed_v2_store_loads_like_the_jsonl_fixture(fixtures_dir):
+    path = fixtures_dir / "corpus.v2.bin"
+    assert path.read_bytes().startswith(b"DEOEMB2\x00")
+    v2, text = load_store(path), load_store(fixtures_dir / "corpus.emb.jsonl")
+    assert (v2.dim, v2.ids, v2.model) == (text.dim, text.ids, "")
+    assert v2.matrix.tobytes() == text.matrix.tobytes()
+    assert v2._norms is None and v2._id_rank is None
+
+
 def test_binary_v2_truncated_at_every_length_or_trailing_gives_both_sizes(tmp_path):
     store = EmbeddingStore(dim=3)
     for i, record_id in enumerate(["a", "ü-doc", "", "文書"]):
         store.add(record_id, [i, -i, 0.5])
     good = tmp_path / "good.bin"
-    store.save_binary(good)
+    save_binary_v2(store, good)
     data = good.read_bytes()
     # the 36-byte ids block ends at offset 64, so the matrix needs no padding
     assert data.startswith(b"DEOEMB2\x00") and len(data) == 64 + 4 * 3 * 4
@@ -398,7 +400,7 @@ def test_binary_v2_header_beyond_the_file_is_not_allocated(tmp_path, field):
     store = EmbeddingStore(dim=4)
     store.add("a", [1.0, 2.0, 3.0, 4.0])
     good = tmp_path / "good.bin"
-    store.save_binary(good)
+    save_binary_v2(store, good)
     data = bytearray(good.read_bytes())
     data[field] = struct.pack("<Q", 2**40)
     lying = tmp_path / "lying.bin"
@@ -453,8 +455,8 @@ def test_binary_save_rejects_ids_that_are_not_strings(tmp_path):
 @example(EmbeddingStore(dim=1))
 def test_binary_v2_roundtrip_property(tmp_path_factory, store):
     base = tmp_path_factory.mktemp("v2")
-    save_store(store, base / "a.bin", fmt="binary")
-    save_store(store, base / "b.bin", fmt="binary")
+    save_binary_v2(store, base / "a.bin")
+    save_binary_v2(store, base / "b.bin")
     data = (base / "a.bin").read_bytes()
     assert data.startswith(b"DEOEMB2\x00") and data == (base / "b.bin").read_bytes()
     loaded = load_store(base / "a.bin")
@@ -469,7 +471,7 @@ def test_binary_v2_roundtrip_property(tmp_path_factory, store):
 def test_binary_v1_and_v2_load_identically(tmp_path_factory, store):
     base = tmp_path_factory.mktemp("v1v2")
     save_binary_v1(store, base / "v1.bin")
-    store.save_binary(base / "v2.bin")
+    save_binary_v2(store, base / "v2.bin")
     v1, v2 = load_store(base / "v1.bin"), load_store(base / "v2.bin")
     assert (v1.dim, v1.ids) == (v2.dim, v2.ids) == (store.dim, store.ids)
     assert v1.matrix.tobytes() == v2.matrix.tobytes() == store.matrix.tobytes()
@@ -477,7 +479,7 @@ def test_binary_v1_and_v2_load_identically(tmp_path_factory, store):
 
 def test_index_on_a_v2_store_shares_its_read_only_mapping(tmp_path):
     path = tmp_path / "s.bin"
-    save_store(random_store(np.random.default_rng(4), n=12, dim=5), path, fmt="binary")
+    save_binary_v2(random_store(np.random.default_rng(4), n=12, dim=5), path)
     store = load_store(path)
     index = FlatIndex.from_store(store)
     assert np.shares_memory(index._matrix, store.matrix)
@@ -506,7 +508,7 @@ def test_saving_over_a_mapped_store_leaves_a_live_index_unchanged(tmp_path):
 def test_add_on_a_v2_store_copies_instead_of_writing_the_file(tmp_path):
     path = tmp_path / "s.bin"
     original = random_store(np.random.default_rng(6), n=3, dim=4)
-    save_store(original, path, fmt="binary")
+    save_binary_v2(original, path)
     data = path.read_bytes()
     store = load_store(path)
     mapped = store.matrix
@@ -515,6 +517,298 @@ def test_add_on_a_v2_store_copies_instead_of_writing_the_file(tmp_path):
     assert np.array_equal(store.get("new"), np.full(4, 7.0))
     assert store.matrix[:3].tobytes() == original.matrix.tobytes()
     assert path.read_bytes() == data
+
+
+# -- binary v3 ---------------------------------------------------------------
+
+
+def v3_layout(data):
+    """(dim, count, [(start, end) of the ids, matrix, norms and id rank])
+    of a v3 file, as its header implies them."""
+    dim, count, ids_len = struct.unpack("<IQQ", data[8:28])
+    blocks, end = [(28, 28 + ids_len)], 28 + ids_len
+    for nbytes in (4 * dim * count, 8 * count, 8 * count):
+        start = end + -end % 64
+        end = start + nbytes
+        blocks.append((start, end))
+    return dim, count, blocks
+
+
+def test_binary_v3_layout_carries_model_norms_and_id_rank(tmp_path):
+    store = EmbeddingStore(dim=3, model="enc-x")
+    for record_id, row in [("b", [3.0, 4.0, 0.0]), ("ü", [1.0, 0.0, 0.0]), ("a", [0.0, 0.0, 2.0])]:
+        store.add(record_id, row)
+    path = tmp_path / "s.bin"
+    store.save_binary(path)
+    data = path.read_bytes()
+    assert data.startswith(b"DEOEMB3\x00")
+    dim, count, blocks = v3_layout(data)
+    assert (dim, count) == (3, 3) and blocks[-1][1] == len(data)
+    assert all(start % 64 == 0 for start, _ in blocks[1:])
+    assert json.loads(data[slice(*blocks[0])]) == {"model": "enc-x", "ids": ["b", "ü", "a"]}
+    assert not any(data[blocks[0][1]:blocks[1][0]] + data[blocks[1][1]:blocks[2][0]]
+                   + data[blocks[2][1]:blocks[3][0]])
+    assert np.frombuffer(data[slice(*blocks[2])], "<f8").tolist() == [5.0, 1.0, 2.0]
+    assert np.frombuffer(data[slice(*blocks[3])], "<i8").tolist() == [1, 2, 0]
+    loaded = load_store(path)
+    assert (loaded.model, loaded.ids) == ("enc-x", ["b", "ü", "a"])
+    assert loaded._norms.tolist() == [5.0, 1.0, 2.0] and loaded._id_rank.tolist() == [1, 2, 0]
+    assert not loaded._norms.flags.writeable and not loaded._id_rank.flags.writeable
+
+
+def test_binary_keeps_the_model_and_v1_v2_load_without_one(tmp_path):
+    store = random_store(np.random.default_rng(12), n=4, dim=3, model="enc-x")
+    store.save_jsonl(tmp_path / "s.jsonl")
+    store.save_binary(tmp_path / "s.bin")
+    save_binary_v1(store, tmp_path / "s.v1.bin")
+    save_binary_v2(store, tmp_path / "s.v2.bin")
+    models = {name: load_store(tmp_path / name).model
+              for name in ("s.jsonl", "s.bin", "s.v1.bin", "s.v2.bin")}
+    assert models == {"s.jsonl": "enc-x", "s.bin": "enc-x", "s.v1.bin": "", "s.v2.bin": ""}
+
+
+def test_ingest_resume_keeps_the_model_of_a_binary_store(tmp_path):
+    out = tmp_path / "corpus.bin"
+    ingest_corpus({"d1": "one"}, CountingEmbedder(dim=3).embed, out, fmt="binary", model="enc-x")
+    _, store = ingest_corpus({"d1": "one", "d2": "two"}, CountingEmbedder(dim=3).embed, out,
+                             fmt="binary", resume=True)
+    assert store.model == load_store(out).model == "enc-x"
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(jsonl_stores())
+@example(EmbeddingStore(dim=1))
+def test_binary_v3_roundtrip_property(tmp_path_factory, store):
+    store.model = "m"
+    base = tmp_path_factory.mktemp("v3")
+    save_store(store, base / "a.bin", fmt="binary")
+    save_store(store, base / "b.bin", fmt="binary")
+    data = (base / "a.bin").read_bytes()
+    assert data.startswith(b"DEOEMB3\x00") and data == (base / "b.bin").read_bytes()
+    loaded = load_store(base / "a.bin")
+    assert (loaded.dim, loaded.ids, loaded.model) == (store.dim, store.ids, "m")
+    assert loaded.matrix.tobytes() == store.matrix.tobytes()
+    # the raw norms, NaN and inf included, and the id order
+    assert loaded._norms.tobytes() == raw_row_norms(store.matrix).tobytes()
+    assert sorted(store.ids) == [store.ids[i] for i in np.argsort(loaded._id_rank)]
+
+
+def test_binary_v3_truncated_at_every_length_or_trailing_gives_both_sizes(tmp_path):
+    store = EmbeddingStore(dim=3, model="enc")
+    for i, record_id in enumerate(["a", "ü-doc", "", "文書"]):
+        store.add(record_id, [i, -i, 0.5])
+    good = tmp_path / "good.bin"
+    store.save_binary(good)
+    data = good.read_bytes()
+    assert v3_layout(data)[2][-1][1] == len(data)
+    cut = tmp_path / "cut.bin"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        if n < 28:
+            expected = f"cut.bin: truncated header: {n} bytes, expected at least 28"
+        else:
+            expected = f"cut.bin: truncated: {n} bytes, header implies {len(data)}"
+        with pytest.raises(FormatError, match=expected if n >= 8 else None) as info:
+            load_store(cut)
+        if n < 8:
+            assert str(info.value) == short_file_message(cut, n)
+    trailing = tmp_path / "trail.bin"
+    trailing.write_bytes(data + b"\x00")
+    with pytest.raises(FormatError, match=f"trail.bin: 1 trailing bytes: {len(data) + 1} bytes, "
+                                          f"header implies {len(data)}"):
+        load_store(trailing)
+
+
+def patched_v3(tmp_path, patch):
+    """A valid v3 file of 5 rows of dim 3 (ids e0..e4 saved in reverse
+    order) with patch(data, blocks) applied to its bytes."""
+    store = EmbeddingStore(dim=3, model="enc")
+    for i in range(5):
+        store.add(f"e{4 - i}", [1.0 + i, -2.0, 0.5])
+    path = tmp_path / "patched.bin"
+    store.save_binary(path)
+    data = bytearray(path.read_bytes())
+    patch(data, v3_layout(data)[2])
+    path.write_bytes(bytes(data))
+    return path
+
+
+def set_rank(values):
+    def patch(data, blocks):
+        data[slice(*blocks[3])] = np.array(values, dtype="<i8").tobytes()
+    return patch
+
+
+@pytest.mark.parametrize("values", [[4, 3, 2, 1, 1], [4, 3, 2, 1, 5], [4, 3, 2, 1, -1],
+                                    [0, 0, 0, 0, 0], [2**62, 3, 2, 1, 0]],
+                         ids=["repeat", "too-big", "negative", "constant", "huge"])
+def test_binary_v3_id_rank_that_is_no_permutation_names_the_file(tmp_path, values):
+    with pytest.raises(FormatError,
+                       match="patched.bin: id rank block is not a permutation of the 5 rows"):
+        load_store(patched_v3(tmp_path, set_rank(values)))
+
+
+def test_binary_v3_any_permutation_loads_as_stored(tmp_path):
+    # the id rank is trusted as the norms are: only its shape is checked
+    assert load_store(patched_v3(tmp_path, set_rank([0, 1, 2, 3, 4])))._id_rank.tolist() == [
+        0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_binary_v3_nan_or_inf_under_a_finite_norm_names_the_file(tmp_path, value):
+    def patch(data, blocks):
+        start = blocks[1][0] + 4 * (3 * 3 + 1)  # record 3, component 1
+        data[start : start + 4] = np.array([value], dtype="<f4").tobytes()
+
+    # the check runs once, where the norms are first used: a store only read
+    # by id never scans its matrix
+    store = load_store(patched_v3(tmp_path, patch))
+    assert np.isnan(store.get("e1")[1]) or np.isinf(store.get("e1")[1])
+    for _ in range(2):
+        with pytest.raises(FormatError, match="patched.bin: record 3 has a NaN or Inf component "
+                                              "but a finite stored norm"):
+            FlatIndex.from_store(store)
+
+
+@pytest.mark.parametrize("patch, message", [
+    (lambda data, blocks: data.__setitem__(slice(*blocks[0]), b'["e4","e3","e2","e1","e0"]'
+                                           .ljust(blocks[0][1] - blocks[0][0])),
+     "ids block is not a JSON object of a model string and ids"),
+    (lambda data, blocks: data.__setitem__(blocks[2][0] - 1, 1),
+     "nonzero padding after the matrix or the norms"),
+    (lambda data, blocks: data.__setitem__(blocks[3][0] - 1, 1),
+     "nonzero padding after the matrix or the norms"),
+], ids=["v2-ids-block", "matrix-padding", "norms-padding"])
+def test_binary_v3_bad_blocks_name_the_file(tmp_path, patch, message):
+    with pytest.raises(FormatError, match=f"patched.bin: {message}"):
+        load_store(patched_v3(tmp_path, patch))
+
+
+def test_binary_v3_load_and_index_allocate_nothing_the_size_of_the_matrix(tmp_path):
+    # the finiteness check sums rows instead of testing every component
+    n, d = 1024, 1024
+    store = random_store(np.random.default_rng(18), n=n, dim=d)
+    path = tmp_path / "s.bin"
+    store.save_binary(path)
+    tracemalloc.start()
+    try:
+        index = FlatIndex.from_store(load_store(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d // 4
+    assert index._matrix.tobytes() == store.matrix.tobytes()
+
+
+def test_binary_v3_row_whose_float32_sum_overflows_indexes_like_v2(tmp_path):
+    # such a row passes the finiteness screen, and its norm, above
+    # FLOAT32_SCREEN_MAX_NORM, still makes the index screen in float64
+    rng = np.random.default_rng(13)
+    store = random_store(rng, n=30, dim=3)
+    big = float(np.finfo(np.float32).max)
+    store.add("big", np.full(3, big))
+    store.add("mixed", [big, -big, 1.0])
+    store.save_binary(tmp_path / "s.bin")
+    save_binary_v2(store, tmp_path / "s.v2.bin")
+    v3, v2 = (FlatIndex.from_store(load_store(tmp_path / name)) for name in ("s.bin", "s.v2.bin"))
+    assert v3._matrix.dtype == v2._matrix.dtype == np.float64
+    queries = np.concatenate([rng.normal(size=(5, 3)), np.ones((1, 3))])
+    for k in (1, 5, 32):
+        assert ([(r.doc_ids, r.scores) for r in v3.search_many(queries, k)]
+                == [(r.doc_ids, r.scores) for r in v2.search_many(queries, k)])
+    assert v3.search(np.ones(3), 1).doc_ids == ("big",)
+
+
+def test_binary_v3_norms_are_mapped_not_recomputed(tmp_path):
+    # a finite norm is trusted as written; only its class is checked again
+    def patch(data, blocks):
+        data[slice(*blocks[2])] = np.array([2.0, 3.0, 4.0, 5.0, 0.0], dtype="<f8").tobytes()
+
+    store = load_store(patched_v3(tmp_path, patch))
+    assert store._norms.tolist() == [2.0, 3.0, 4.0, 5.0, 0.0]
+    with pytest.raises(Exception, match="doc 'e0' has norm 0 and cannot be normalized"):
+        FlatIndex.from_store(store)
+
+
+BAD_ROWS = {"zero": [0.0, 0.0, 0.0], "tiny": [1e-45, 0.0, 0.0], "nan": [1.0, np.nan, 0.0],
+            "inf": [np.inf, 1.0, 0.0], "neg-inf": [0.0, 0.0, -np.inf]}
+
+
+@pytest.mark.parametrize("first", sorted(BAD_ROWS))
+def test_bad_rows_save_to_v3_and_raise_at_from_store_as_on_v2(tmp_path, first):
+    # two bad rows of different kinds: the first in row order decides
+    store = EmbeddingStore(dim=3)
+    for i in range(6):
+        store.add(f"d{i}", [1.0, float(i), 2.0])
+    store.add("bad-1", BAD_ROWS[first])
+    store.add("d6", [0.5, 0.5, 0.5])
+    store.add("bad-2", BAD_ROWS["zero" if first != "zero" else "nan"])
+    store.save_binary(tmp_path / "s.bin")
+    save_binary_v2(store, tmp_path / "s.v2.bin")
+    errors = []
+    for candidate in (store, load_store(tmp_path / "s.v2.bin"), load_store(tmp_path / "s.bin")):
+        with pytest.raises(Exception) as info:
+            FlatIndex.from_store(candidate)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] == errors[2]
+    assert "doc 'bad-1'" in errors[0][1]
+
+
+def test_index_on_a_v3_store_shares_its_read_only_mapping(tmp_path):
+    path = tmp_path / "s.bin"
+    save_store(random_store(np.random.default_rng(4), n=12, dim=5), path, fmt="binary")
+    store = load_store(path)
+    index = FlatIndex.from_store(store)
+    assert np.shares_memory(index._matrix, store.matrix)
+    assert index._norms is store._norms and index._id_rank is store._id_rank
+    for array in (index._norms, index._id_rank):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def test_from_store_on_a_v3_store_computes_no_norm_and_no_id_order(tmp_path):
+    path = tmp_path / "s.bin"
+    save_store(random_store(np.random.default_rng(14), n=40, dim=6), path, fmt="binary")
+    save_binary_v2(load_store(path), tmp_path / "s.v2.bin")
+    expected = FlatIndex.from_store(load_store(path))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("recomputed")
+
+    patches = [mock.patch.object(module, name, fail) for module, name in [
+        (index_module, "raw_row_norms"), (index_module, "row_norms"), (index_module, "id_rank"),
+        (vecmath, "raw_row_norms"), (vecmath, "row_norms"), (store_module, "id_rank")]]
+    for patch in patches:
+        patch.start()
+    try:
+        index = FlatIndex.from_store(load_store(path))
+        with pytest.raises(AssertionError, match="recomputed"):
+            FlatIndex.from_store(load_store(tmp_path / "s.v2.bin"))
+    finally:
+        for patch in patches:
+            patch.stop()
+    assert index._norms.tobytes() == expected._norms.tobytes()
+    queries = np.random.default_rng(15).normal(size=(4, 6))
+    assert ([(r.doc_ids, r.scores) for r in index.search_many(queries, 10)]
+            == [(r.doc_ids, r.scores) for r in expected.search_many(queries, 10)])
+
+
+def test_add_after_a_v3_load_indexes_like_build(tmp_path):
+    rng = np.random.default_rng(16)
+    path = tmp_path / "s.bin"
+    save_store(random_store(rng, n=20, dim=5), path, fmt="binary")
+    store = load_store(path)
+    assert store._norms is not None
+    for i, row in enumerate(rng.normal(size=(3, 5))):
+        store.add(f"added{i}", row)
+    assert store._norms is None and store._id_rank is None
+    grown, built = FlatIndex.from_store(store), FlatIndex.build(zip(store.ids, store.matrix))
+    assert grown._norms.tobytes() == built._norms.tobytes()
+    assert np.array_equal(grown._id_rank, built._id_rank)
+    queries = np.concatenate([rng.normal(size=(4, 5)), store.matrix[-3:]])
+    for k in (1, 10, 23):
+        assert ([(r.doc_ids, r.scores) for r in grown.search_many(queries, k)]
+                == [(r.doc_ids, r.scores) for r in built.search_many(queries, k)])
 
 
 def test_load_store_sniffs_format(tmp_path):
@@ -557,6 +851,7 @@ def test_every_loader_gives_the_id_map_an_index_shares(tmp_path):
         store.add(f"d{i:02d}", row)
     store.save_jsonl(tmp_path / "s.jsonl")
     save_binary_v1(store, tmp_path / "s.v1.bin")
+    save_binary_v2(store, tmp_path / "s.v2.bin")
     store.save_binary(tmp_path / "s.bin")
     queries = np.concatenate([rng.normal(size=(5, 6)), vectors[:5]])
 
@@ -564,7 +859,7 @@ def test_every_loader_gives_the_id_map_an_index_shares(tmp_path):
         return [(r.doc_ids, r.scores) for k in (1, 5, 40) for r in index.search_many(queries, k)]
 
     expected = rankings(FlatIndex.from_store(store))
-    for name in ("s.jsonl", "s.v1.bin", "s.bin"):
+    for name in ("s.jsonl", "s.v1.bin", "s.v2.bin", "s.bin"):
         loaded = load_store(tmp_path / name)
         assert loaded._ids == store._ids
         assert loaded._index == {record_id: i for i, record_id in enumerate(loaded._ids)}

@@ -12,14 +12,16 @@ from deo import vecmath
 from deo.errors import DimensionMismatchError, InsufficientDataError, ZeroVectorError
 from deo.index import FlatIndex
 from deo.optimizer import DecompositionEmbeddings
-from deo.store import EmbeddingStore
+from deo.store import EmbeddingStore, load_store
 from deo.vecmath import (
+    NORM_CHUNK,
     ZERO_NORM_EPS,
     PcaBasis,
     as_vector,
     l2_normalize,
     pca_fit,
     pca_project,
+    raw_row_norms,
     row_norms,
 )
 
@@ -94,7 +96,7 @@ def matrices(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(matrices())
-def test_every_normalizer_divides_by_np_linalg_norm(case):
+def test_every_normalizer_divides_by_np_linalg_norm(tmp_path_factory, case):
     m, chunk = case
     rows = m.astype(np.float64)
     with np.errstate(all="ignore"):
@@ -108,8 +110,14 @@ def test_every_normalizer_divides_by_np_linalg_norm(case):
         for doc_id, row in zip(ids, m):
             store.add(doc_id, row)
         indexes.append(lambda: FlatIndex.from_store(store))
+        # a v3 file stores the raw norms, bad rows included
+        path = tmp_path_factory.mktemp("v3") / "s.bin"
+        store.save_binary(path)
+        loaded = load_store(path)
+        indexes.append(lambda: FlatIndex.from_store(loaded))
     with mock.patch.object(vecmath, "NORM_CHUNK", chunk), warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert np.array_equal(raw_row_norms(m), norms, equal_nan=True)  # and never raises
         if ok.all():
             units = np.stack([v / n for v, n in zip(rows, norms)])
             assert np.array_equal(rows / row_norms(m)[:, None], units)
@@ -134,6 +142,23 @@ def test_every_normalizer_divides_by_np_linalg_norm(case):
             with pytest.raises(Exception, match=f"doc 'd{first}'") as info:
                 make_index()
             assert type(info.value) is error
+
+
+def test_raw_row_norms_reads_float64_in_place_and_float32_through_one_buffer():
+    rng = np.random.default_rng(17)
+    n, d = 3 * NORM_CHUNK + 5, 96
+    for dtype in (np.float64, np.float32):
+        m = rng.normal(size=(n, d)).astype(dtype)
+        tracemalloc.start()
+        try:
+            norms = raw_row_norms(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the norms, plus one NORM_CHUNK-row float64 buffer for float32 rows
+        assert peak < 8 * n + 4096 + (0 if dtype == np.float64 else 8 * NORM_CHUNK * d)
+        expected = [np.linalg.norm(row) for row in m.astype(np.float64)]
+        assert norms.tobytes() == np.array(expected).tobytes()
 
 
 def test_pca_needs_two_points():
