@@ -36,6 +36,7 @@ from .errors import (
     FormatError,
     MissingDecompositionError,
     MissingEmbeddingError,
+    ZeroVectorError,
 )
 from .index import FlatIndex, RankedList, rrf_fuse, write_trec_run
 from .ioutil import atomic_write_text, load_texts_jsonl
@@ -54,10 +55,15 @@ from .optimizer import (
     optimize_query_embedding,
 )
 from .store import embed_texts, load_store
-from .vecmath import pca_fit
+from .vecmath import pca_fit, row_norms
 
 KNOWN_SYSTEMS = ("baseline", "deo", "avg_only", "rrf_only")
 RRF_K = 60.0
+# What a query that cannot be ranked raises: from gathering its vectors (a
+# missing decomposition or embedding, a NaN or Inf component, another
+# dimension) or from row_norms (also a zero or overflowing norm).
+QUERY_ERRORS = (MissingDecompositionError, MissingEmbeddingError, DimensionMismatchError,
+                ValueError, ZeroVectorError)
 
 
 def parse_metric_spec(spec: str) -> tuple[str, int]:
@@ -259,7 +265,9 @@ class QueryPipeline:
     def embeddings(self, query_id: str, text: str) -> DecompositionEmbeddings:
         """The query's decomposition, embedded: the optimizer's input."""
         self._prefetch([(query_id, text)])
-        rows, counts, _ = self._gather([(query_id, text)], subqueries=True)
+        rows, counts, error = self._gather([(query_id, text)], subqueries=True)
+        if error is not None:
+            raise error
         return DecompositionEmbeddings(rows, counts[0][0])
 
     def _gather(self, block, subqueries: bool):
@@ -269,8 +277,7 @@ class QueryPipeline:
         vectors. Returns the matrix, each query's (K, M) and None. When a
         query cannot be resolved (no decomposition or embedding, a NaN or Inf
         component, or another dimension than the block's first vector), it
-        returns those of the queries before it and that query's error; the
-        block's first query raises it.
+        returns those of the queries before it and that query's error.
         """
         rows: list[np.ndarray] = []
         counts: list[tuple[int, int]] = []
@@ -287,57 +294,129 @@ class QueryPipeline:
                                                      f"dimension {vector.shape[0]}, expected {dim}")
                 rows += found
                 counts.append((len(entry.positives), len(entry.negatives)) if entry else (0, 0))
-        except (MissingDecompositionError, MissingEmbeddingError, DimensionMismatchError,
-                ValueError) as exc:
-            if not counts:
-                raise
+        except QUERY_ERRORS as exc:
             return np.array(rows), counts, exc
         return np.array(rows), counts, None
 
-    def rank(self, index: FlatIndex, system: str, queries, k: int,
-             optimizer: OptimizationConfig):
-        """Yield (query_id, RankedList) for each (query_id, text) pair of
-        `queries`, in order, as `system` ranks it.
+    def _describe(self, block, counts):
+        """describe(i) for row i of the matrix _gather stacked for `block`:
+        the query's id and, for a sub-query's row, the sub-query's text."""
+        starts = np.cumsum([0, *(1 + n_pos + n_neg for n_pos, n_neg in counts)])
 
-        Online, the misses of all the queries are fetched first (_prefetch).
-        Each block of index.SEARCH_BLOCK queries is gathered into one matrix
-        (_gather) and ranked with one search_many call. baseline searches with
-        the query vectors, deo with the optimized ones (one optimize_many
-        call), avg_only with the mean of each query's rows; rrf_only fuses
-        the rankings of a query's sub-query vectors, or searches with the
-        query vector when there are none. The queries gathered before one
-        that cannot be are still searched, so the first bad query raises, and
-        nothing of its block is yielded.
+        def describe(i: int) -> str:
+            place = int(np.searchsorted(starts, i, side="right")) - 1
+            query_id, text = block[place]
+            if i == starts[place]:
+                return f"query {query_id!r}"
+            entry = self.decomposition(query_id, text)
+            subquery = (*entry.positives, *entry.negatives)[i - starts[place] - 1]
+            return f"query {query_id!r} sub-query {subquery!r}"
+        return describe
+
+    def _search_rows(self, system: str, block, gathered, optimizer: OptimizationConfig,
+                     dim: int):
+        """The rows `system` searches for a block that _gather returned as
+        `gathered`, and for each query how many sub-query rankings it fuses
+        (0: its one ranking stands). baseline searches with the query
+        vectors, deo with the optimized ones (one optimize_many call),
+        avg_only with the mean of each query's rows; rrf_only with every
+        sub-query vector, or the query vector when there are none.
+
+        The search rows are checked as search_many checks them against an
+        index of dimension `dim`, so this raises what ranking the block alone
+        raises first: for the queries gathered before the first one that
+        could not be, a bad deo input row, then another dimension than the
+        index's, then a bad search row, named as in _describe; else the
+        gathering's error.
         """
-        if system not in KNOWN_SYSTEMS:
-            raise ConfigError(f"unknown system {system!r}")
+        rows, counts, error = gathered
+        if not counts:
+            raise error
+        describe = self._describe(block, counts)
+        sizes = np.array([1 + n_pos + n_neg for n_pos, n_neg in counts])
+        starts = np.cumsum(sizes) - sizes
+        fused = np.zeros(len(sizes), dtype=int)
+        source = starts  # the gathered row each search row is named by
+        if system == "deo":
+            searched = optimize_many(rows, counts, optimizer, describe)[:, -1]
+        elif system == "avg_only":
+            searched = np.array([rows[s : s + n].mean(axis=0) for s, n in zip(starts, sizes)])
+        elif system == "rrf_only":
+            fused = sizes - 1
+            keep = np.ones(len(rows), dtype=bool)
+            keep[starts[fused > 0]] = False
+            source = np.flatnonzero(keep)
+            searched = rows[keep]
+        else:
+            searched = rows[starts]
+        if searched.shape[1] != dim:
+            # _gather gives a block one dimension, that of its first vector
+            raise DimensionMismatchError(f"query {block[0][0]!r} has dimension "
+                                         f"{searched.shape[1]}, the index {dim}")
+        row_norms(searched, lambda j: describe(source[j]))
+        if error is not None:
+            raise error
+        return searched, fused
+
+    def rank(self, index: FlatIndex, systems, queries, k: int,
+             optimizer: OptimizationConfig):
+        """Yield (system, query_id, RankedList) for each (query_id, text)
+        pair of `queries` as each of `systems` ranks it: block by block, and
+        within a block system by system, query by query.
+
+        Online, the misses of all the queries are fetched first (_prefetch),
+        sub-queries included when a system other than baseline reads them.
+        Each block of index.SEARCH_BLOCK queries is gathered into one matrix
+        (_gather), each system builds its search rows from it in system
+        order (_search_rows), and one search_many call ranks every system's
+        rows.
+
+        What is raised is what ranking the systems one after another over all
+        the queries raises first: the first bad query of the first system
+        that has one. Such an error comes from gathering or from row_norms,
+        never from the search, so a block whose rows fail is not searched.
+        When a system fails, nothing more is searched or yielded; the systems
+        before it are still gathered and checked through the remaining
+        blocks, and the first of them that fails raises instead.
+        """
+        systems = list(systems)
+        for system in systems:
+            if system not in KNOWN_SYSTEMS:
+                raise ConfigError(f"unknown system {system!r}")
         if k <= 0:
             raise ValueError("k must be positive")
         queries = list(queries)
-        self._prefetch(queries, subqueries=system != "baseline")
+        self._prefetch(queries, subqueries=any(system != "baseline" for system in systems))
+        failure = None
         for start in range(0, len(queries), index_module.SEARCH_BLOCK):
             block = queries[start : start + index_module.SEARCH_BLOCK]
-            rows, counts, error = self._gather(block, subqueries=system != "baseline")
-            sizes = [1 + n_pos + n_neg for n_pos, n_neg in counts]
-            starts = np.cumsum([0, *sizes])[:-1]
-            fused = np.zeros(len(sizes), dtype=bool)
-            searched = rows  # baseline gathers one row per query
-            if system == "deo":
-                searched = optimize_many(rows, counts, optimizer)[:, -1]
-            elif system == "avg_only":
-                searched = np.array([rows[s : s + n].mean(axis=0) for s, n in zip(starts, sizes)])
-            elif system == "rrf_only":
-                # every sub-query row; a query's own row only when it has none
-                fused = np.array(sizes) > 1
-                keep = np.ones(len(rows), dtype=bool)
-                keep[starts[fused]] = False
-                searched = rows[keep]
-            lists = iter(index.search_many(searched, k=k))
-            if error is not None:
-                raise error
-            for (query_id, _), size, fuse in zip(block, sizes, fused):
-                own = [next(lists) for _ in range(size - 1 if fuse else 1)]
-                yield query_id, rrf_fuse(own, k=k, k_rrf=RRF_K) if fuse else own[0]
+            subqueries = any(system != "baseline" for system in systems)
+            full = own = self._gather(block, subqueries)
+            if subqueries and full[2] is not None and "baseline" in systems:
+                # baseline reads no sub-query, so their errors must not stop it
+                own = self._gather(block, subqueries=False)
+            batches = []
+            for position, system in enumerate(systems):
+                try:
+                    batches.append(self._search_rows(
+                        system, block, own if system == "baseline" else full, optimizer,
+                        index.dim))
+                except QUERY_ERRORS as exc:
+                    if position == 0:
+                        raise
+                    # only the systems before it can still fail first
+                    failure, systems = exc, systems[:position]
+                    break
+            if failure is not None:
+                continue
+            lists = iter(index.search_many(np.concatenate([rows for rows, _ in batches]), k=k))
+            for system, (_, fused) in zip(systems, batches):
+                for (query_id, _), n_fused in zip(block, fused):
+                    ranking = (rrf_fuse([next(lists) for _ in range(n_fused)], k=k, k_rrf=RRF_K)
+                               if n_fused else next(lists))
+                    yield system, query_id, ranking
+        if failure is not None:
+            raise failure
 
 
 @dataclass(frozen=True)
@@ -420,13 +499,13 @@ class _BenchmarkRunner:
 
         per_query: dict = {}
         aggregates: dict = {}
-        rankings_by_system: dict[str, dict[str, RankedList]] = {}
-        for system in cfg.systems:
-            rankings = dict(self.pipeline.rank(
-                self.index, system, [(qid, self.queries[qid]) for qid in query_ids],
-                depth, cfg.optimizer,
-            ))
-            rankings_by_system[system] = rankings
+        rankings_by_system: dict[str, dict[str, RankedList]] = {
+            system: {} for system in cfg.systems}
+        for system, qid, ranking in self.pipeline.rank(
+                self.index, cfg.systems, [(qid, self.queries[qid]) for qid in query_ids],
+                depth, cfg.optimizer):
+            rankings_by_system[system][qid] = ranking
+        for system, rankings in rankings_by_system.items():
             per_query[system] = {}
             aggregates[system] = {}
             for metric in cfg.metrics:

@@ -121,8 +121,8 @@ def cmd_search(args) -> int:
 
     system = "deo" if args.deo else "baseline"
     run_tag = args.run_tag or system
-    rankings = pipeline.rank(index, system, sorted(queries.items()), args.k, optimizer)
-    for query_id, ranking in rankings:
+    rankings = pipeline.rank(index, [system], sorted(queries.items()), args.k, optimizer)
+    for _, query_id, ranking in rankings:
         print(trec_lines("q1" if adhoc else query_id, ranking, run_tag), end="")
     return EXIT_OK
 

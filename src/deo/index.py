@@ -3,17 +3,31 @@
 The index keeps the corpus vectors plus one float64 norm per row:
 FlatIndex.build copies its records to float64, and FlatIndex.from_store
 scores a store's read-only float32 matrix in place, taking a v3 store's
-stored norms and id rank instead of recomputing them. Queries are scored in
-blocks of SEARCH_BLOCK rows, one matrix product in the corpus dtype per block
-against the whole corpus; that product only picks candidates, whose final
-scores are recomputed in float64 one query at a time, so a query ranks the
-same alone or in any batch. Ties are broken by ascending doc id to keep every
-ranking deterministic.
+stored norms and id rank instead of recomputing them.
+
+search_many normalizes its query rows and screens them PRODUCT_ROWS (128) at
+a time: one matrix product in the corpus dtype against the whole corpus,
+scaled in place by each row's reciprocal norm held in that dtype, so a
+float32 corpus never makes a float64 (rows, n) copy. A float32 corpus with a
+norm above FLOAT32_SCREEN_MAX_NORM (2**126, where the float32 reciprocal
+would turn subnormal) is screened in float64 instead. The screen only picks
+candidates: every doc within a slack of 4 (d + 2) eps of the k-th best,
+which _top_k proves covers every rounding of the screen. Their scores are
+recomputed in float64 one query at a time, so a query ranks the same alone
+or in any batch, with the ids and scores of a float64 brute force. Ties are
+broken by ascending doc id to keep every ranking deterministic.
+
+QueryPipeline.rank (deo.benchmark) hands search_many one block of
+SEARCH_BLOCK (64) queries at a time, with every system's rows of that block
+in one call. It checks those rows before searching, so it raises what
+ranking the systems one after another would raise first: the first bad
+query of the first system that has one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,11 +36,15 @@ from .ioutil import atomic_write_text
 from .store import id_rank
 from .vecmath import check_norms, raw_row_norms, row_norms
 
-# Queries scored per matrix product in FlatIndex.search_many.
+# Queries QueryPipeline.rank gathers, optimizes and searches as one block.
 SEARCH_BLOCK = 64
-# A float32 corpus with a row norm above this is screened in float64, because
-# a float32 product of that row with a unit query could overflow.
-FLOAT32_SCREEN_MAX_NORM = float(np.finfo(np.float32).max) / 2
+# Most query rows FlatIndex.search_many screens with one matrix product: a
+# thin product is slow per row, and a (PRODUCT_ROWS, n) screen bounds memory.
+PRODUCT_ROWS = 128
+# A float32 corpus with a row norm above this is screened in float64: beyond
+# it the float32 reciprocal of the norm would be subnormal (2**126 is
+# 1 / float32's smallest normal), and the screen's error bound would not hold.
+FLOAT32_SCREEN_MAX_NORM = 2.0**126
 
 
 @dataclass(frozen=True)
@@ -154,7 +172,8 @@ class FlatIndex:
         sequence, in order.
 
         All rows are normalized with one row_norms call, so the first bad row
-        raises, naming it as query i (its 0-based place in `queries`).
+        raises, naming it as query i (its 0-based place in `queries`). The
+        unit rows are then screened PRODUCT_ROWS at a time.
         """
         if k <= 0:
             raise ValueError("k must be positive")
@@ -165,36 +184,64 @@ class FlatIndex:
             )
         units = queries / row_norms(queries, lambda i: f"query {i}")[:, None]
         results: list[RankedList] = []
-        for start in range(0, len(units), SEARCH_BLOCK):
-            block = units[start : start + SEARCH_BLOCK]
+        for start in range(0, len(units), PRODUCT_ROWS):
+            block = units[start : start + PRODUCT_ROWS]
             screen = block.astype(self._matrix.dtype, copy=False) @ self._matrix.T
-            screen = screen / self._norms
+            screen *= self._reciprocal_norms
             for q, scores in zip(block, screen):
                 results.append(self._top_k(q, scores, k))
         return results
+
+    # Both are built at the first search, so that indexing alone (deo index)
+    # pays for neither.
+    @cached_property
+    def _reciprocal_norms(self) -> np.ndarray:
+        # rounded once in float64, then to the corpus dtype
+        return (1.0 / self._norms).astype(self._matrix.dtype, copy=False)
+
+    @cached_property
+    def _id_array(self) -> np.ndarray:
+        return np.array(self._doc_ids, dtype=object)
 
     def _top_k(self, q: np.ndarray, approx: np.ndarray, k: int) -> RankedList:
         # The screen is computed in the corpus dtype, and its last bits depend
         # on the block's shape and the row's place in it (BLAS kernels differ
         # at tile edges), so it only picks candidates: every doc within
-        # rounding error of the k-th best, which takes in all docs tied with
-        # it. Their scores are then recomputed in float64 from q alone, one
+        # `slack` of the k-th best, which takes in all docs tied with it.
+        # Their scores are then recomputed in float64 from q alone, one
         # fixed-order sum per doc, and sorted by (-score, id rank).
+        #
+        # Why the slack suffices. Let u be the unit roundoff (eps / 2) of the
+        # corpus dtype, x a corpus row, n its float64 norm and c = q.x / n.
+        # The rescore f is within (d + 1) u64 of c: a division, a product and
+        # d - 1 additions in float64. The screen a rounds q to the corpus
+        # dtype (u), sums d products in it (d u, in any order, FMA or not),
+        # rounds the reciprocal of n (u: once in float64, then to the dtype)
+        # and its product with the sum (u). So |a - c| <= (d + 3) u, up to
+        # terms of order d^2 u^2 and underflow terms far below u (n exceeds
+        # ZERO_NORM_EPS). That needs a normal reciprocal: row_norms keeps a
+        # float64 n below 2^512, and FLOAT32_SCREEN_MAX_NORM a float32 one at
+        # most 2^126. Hence |a - f| <= E = (2d + 4) u. At least k docs screen
+        # at or above kth, so at least k have f >= kth - E, and a doc of the
+        # final top k screens at least kth - 2E. The threshold kth - slack is
+        # rounded once more in the dtype (u): 2E + u is (2d + 4.5) eps, and
+        # the slack, 4 (d + 2) eps, exceeds it by at least 5.5 eps, which
+        # covers the higher-order terms.
         n = len(self._doc_ids)
         if k < n:
             kth = np.partition(approx, n - k)[n - k]
-            # Rounding q to the corpus dtype and summing d products in it
-            # puts a screened score at most about d * eps of that dtype from
-            # the exact cosine, so a true top-k doc lies at most 2 * d * eps
-            # below kth; the slack doubles that.
-            slack = 4 * self.dim * np.finfo(self._matrix.dtype).eps
+            slack = 4 * (self.dim + 2) * np.finfo(self._matrix.dtype).eps
             candidates = np.flatnonzero(approx >= kth - slack)
         else:
             candidates = np.arange(n)
-        scores = np.add.reduce(self._unit_rows(candidates) * q, axis=1)
+        # the bits of _unit_rows(candidates) * q, computed in place
+        rows = self._matrix.take(candidates, axis=0).astype(np.float64, copy=False)
+        np.divide(rows, self._norms[candidates, None], out=rows)
+        np.multiply(rows, q, out=rows)
+        scores = np.add.reduce(rows, axis=1)
         order = np.lexsort((self._id_rank[candidates], -scores))[:k]
         return RankedList(
-            doc_ids=tuple(self._doc_ids[i] for i in candidates[order]),
+            doc_ids=tuple(self._id_array[candidates[order]].tolist()),
             scores=tuple(scores[order].tolist()),
         )
 

@@ -234,7 +234,8 @@ def optimize_query_embedding(
     return snapshots[-1].copy(), OptimizationTrace(snapshots=snapshots, inputs=work, config=cfg)
 
 
-def optimize_many(rows, counts, cfg: OptimizationConfig) -> np.ndarray:
+def optimize_many(rows, counts, cfg: OptimizationConfig,
+                  describe=lambda i: f"row {i}") -> np.ndarray:
     """optimize_query_embedding for a block of queries, run as one (Q, d) Adam
     loop; returns the (Q, steps + 1, d) snapshots.
 
@@ -242,7 +243,9 @@ def optimize_many(rows, counts, cfg: OptimizationConfig) -> np.ndarray:
     another (its original, then its K positives, then its M negatives), and
     counts holds each query's (K, M). Adam is elementwise and each query's
     gradient terms are added only to its own row, so every query's snapshots
-    are bit-identical to a run of the query alone, whatever the block.
+    are bit-identical to a run of the query alone, whatever the block. With
+    normalize_inputs, the first row that row_norms rejects raises, named by
+    describe(i).
     """
     rows = np.asarray(rows, dtype=np.float64)
     sizes = [1 + n_pos + n_neg for n_pos, n_neg in counts]
@@ -250,7 +253,7 @@ def optimize_many(rows, counts, cfg: OptimizationConfig) -> np.ndarray:
         raise DimensionMismatchError(
             f"rows of shape {rows.shape} do not hold {len(counts)} queries of {sum(sizes)} rows")
     if cfg.normalize_inputs:
-        rows = rows / row_norms(rows)[:, None]
+        rows = rows / row_norms(rows, describe)[:, None]
     starts = np.cumsum([0, *sizes])[:-1]
     for n_pos, n_neg in counts:
         c = convexity_margin(n_pos, n_neg, cfg)

@@ -203,8 +203,8 @@ def test_resolver_store_hits(tmp_path):
     store.save_jsonl(tmp_path / "q.emb.jsonl")
     pipeline = QueryPipeline(str(tmp_path / "q.emb.jsonl"))
     index = FlatIndex.build(DOCS.items())
-    rankings = dict(pipeline.rank(index, "baseline", [("q1", "some text"), ("q2", "some text")],
-                                  1, OptimizationConfig()))
+    rankings = {query_id: ranking for _, query_id, ranking in pipeline.rank(
+        index, ["baseline"], [("q1", "some text"), ("q2", "some text")], 1, OptimizationConfig())}
     assert rankings["q1"].doc_ids == ("d_gamma",)
     assert rankings["q2"].doc_ids == ("d_beta",)
     np.testing.assert_array_equal(pipeline._vector("unused", record_id="q1"), DOCS["d_gamma"])
@@ -389,7 +389,11 @@ def test_offline_missing_subquery_embedding(tmp_path):
         run_benchmark(cfg)
 
 
-FLAWS = ("ok", "zero", "nan", "no_decomposition", "no_embedding", "wrong_dim")
+FLAWS = ("ok", "zero", "zero_subquery", "nan", "no_decomposition", "no_embedding", "wrong_dim")
+# q1's and q2's flaws. A wrong-dimension vector comes from an endpoint, so it
+# cannot be paired with an embedding that no endpoint provides.
+FLAW_PAIRS = [(a, b) for a in FLAWS for b in FLAWS
+              if a != b and {a, b} != {"no_embedding", "wrong_dim"}]
 
 
 def seen_error(system, flaw):
@@ -397,6 +401,8 @@ def seen_error(system, flaw):
     None when the system never reads what is wrong with it."""
     if flaw == "zero":  # only a searched or normalized own vector is divided by its norm
         return ZeroVectorError if system in ("baseline", "deo") else None
+    if flaw == "zero_subquery":  # deo normalizes its inputs, rrf_only searches it
+        return ZeroVectorError if system in ("deo", "rrf_only") else None
     if flaw == "no_decomposition":
         return None if system == "baseline" else MissingDecompositionError
     return {"ok": None, "nan": ValueError, "no_embedding": MissingEmbeddingError,
@@ -410,28 +416,40 @@ class FiveDimEmbedClient:
         return [np.full(5, 0.5) for _ in texts]
 
 
+def flawed_env(case, flaws, systems):
+    """build_env where q1 and q2 have `flaws`. A zero_subquery query gets one
+    more negative, "<query id> ghost", whose stored vector is zero."""
+    flaw_of = dict(zip(("q1", "q2"), flaws))
+    cfg = replace(build_env(case, systems=systems), offline="wrong_dim" not in flaws)
+    qstore = EmbeddingStore(dim=4, model="test-enc")
+    for key, vec in QUERY_VECS.items():
+        flaw = flaw_of.get(key, "ok")
+        if flaw not in ("no_embedding", "wrong_dim"):
+            qstore.add(key, {"zero": np.zeros(4), "nan": np.full(4, np.nan)}.get(flaw, vec))
+    rows = []
+    for row in CACHE_ROWS:
+        flaw = flaw_of.get(row["query_id"])
+        if flaw == "zero_subquery":
+            ghost = f"{row['query_id']} ghost"
+            row = dict(row, negatives=[*row["negatives"], ghost])
+            qstore.add(ghost, np.zeros(4))
+        if flaw != "no_decomposition":
+            rows.append(row)
+    qstore.save_jsonl(case / "queries.emb.jsonl")
+    (case / "cache.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return cfg
+
+
 @pytest.mark.parametrize("system", ["baseline", "deo", "avg_only", "rrf_only"])
 def test_first_bad_query_raises_first(tmp_path, monkeypatch, system):
     # q1 and q2 each have one flaw (or none); the first query whose flaw the
-    # system reads raises its error, in one block or one block per query. A
-    # wrong-dimension vector comes from an endpoint, so it cannot be paired
-    # with an embedding that no endpoint provides.
-    pairs = [(a, b) for a in FLAWS for b in FLAWS
-             if a != b and {a, b} != {"no_embedding", "wrong_dim"}]
-    for flaws in pairs:
+    # system reads raises its error, naming the query (and a zero sub-query
+    # by its text), in one block or one block per query
+    for flaws in FLAW_PAIRS:
         case = tmp_path / "-".join(flaws)
         case.mkdir()
-        flaw_of = dict(zip(("q1", "q2"), flaws))
-        cfg = replace(build_env(case, systems=system), offline="wrong_dim" not in flaws)
-        qstore = EmbeddingStore(dim=4, model="test-enc")
-        for key, vec in QUERY_VECS.items():
-            flaw = flaw_of.get(key, "ok")
-            if flaw not in ("no_embedding", "wrong_dim"):
-                qstore.add(key, {"zero": np.zeros(4), "nan": np.full(4, np.nan)}.get(flaw, vec))
-        qstore.save_jsonl(case / "queries.emb.jsonl")
-        rows = [row for row in CACHE_ROWS if flaw_of.get(row["query_id"]) != "no_decomposition"]
-        (case / "cache.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
-        errors = [(qid, seen_error(system, flaw)) for qid, flaw in flaw_of.items()
+        cfg = flawed_env(case, flaws, system)
+        errors = [(qid, flaw, seen_error(system, flaw)) for qid, flaw in zip(("q1", "q2"), flaws)
                   if seen_error(system, flaw)]
         for block in (64, 1):
             monkeypatch.setattr("deo.index.SEARCH_BLOCK", block)
@@ -440,10 +458,38 @@ def test_first_bad_query_raises_first(tmp_path, monkeypatch, system):
                 continue
             with pytest.raises(Exception) as info:
                 run_benchmark(cfg, embed_client=FiveDimEmbedClient())
-            query_id, error = errors[0]
+            query_id, flaw, error = errors[0]
             assert type(info.value) is error, (flaws, block, info.value)
-            if error in (MissingDecompositionError, MissingEmbeddingError, ValueError):
-                assert f"'{query_id}'" in str(info.value), (flaws, block)
+            if error is not DimensionMismatchError:
+                assert f"'{query_id}'" in str(info.value), (flaws, block, info.value)
+            if flaw == "zero_subquery":
+                assert f"sub-query '{query_id} ghost'" in str(info.value), (flaws, block)
+
+
+@pytest.mark.parametrize("block", [1, 64])
+def test_all_systems_raise_what_ranking_them_in_turn_raises(tmp_path, monkeypatch, block):
+    # one eval ranks the four systems together, block by block, yet raises
+    # what running them one after another raises: the first bad query of
+    # the first system that has one. So with q1 lacking its decomposition
+    # and q2's vector zero, baseline's q2 wins over deo's q1.
+    monkeypatch.setattr("deo.index.SEARCH_BLOCK", block)
+    for flaws in FLAW_PAIRS:
+        case = tmp_path / "-".join(flaws)
+        case.mkdir()
+        cfg = flawed_env(case, flaws, "baseline, deo, avg_only, rrf_only")
+        expected = None
+        for system in cfg.systems:
+            try:
+                run_benchmark(replace(cfg, systems=(system,)), embed_client=FiveDimEmbedClient())
+            except Exception as exc:  # noqa: BLE001 - any error is compared below
+                expected = exc
+                break
+        if expected is None:
+            run_benchmark(cfg, embed_client=FiveDimEmbedClient())
+            continue
+        with pytest.raises(Exception) as info:
+            run_benchmark(cfg, embed_client=FiveDimEmbedClient())
+        assert (type(info.value), str(info.value)) == (type(expected), str(expected)), flaws
 
 
 @st.composite
@@ -506,7 +552,8 @@ def test_rank_equals_per_query_reference(case):
                                  model="m")
     for system in ("baseline", "deo", "avg_only", "rrf_only"):
         with mock.patch("deo.index.SEARCH_BLOCK", block):
-            ranked = list(pipeline.rank(index, system, queries, k, cfg))
+            ranked = [(query_id, ranking) for _, query_id, ranking
+                      in pipeline.rank(index, [system], queries, k, cfg)]
         expected = [(query_id, reference_ranking(
             index, system, vectors[query_id], [vectors[t] for t in row["positives"]],
             [vectors[t] for t in row["negatives"]], k, cfg)) for (query_id, _), row in zip(queries, rows)]

@@ -253,17 +253,30 @@ def test_search_deo_matches_golden_run(fixtures_dir, capsys):
 def test_outputs_do_not_depend_on_search_block(fixtures_dir, tmp_path, monkeypatch, capsys,
                                                block):
     # search prints a block of queries at a time and eval ranks its queries
-    # in blocks: neither output may change with the block size
+    # in blocks, all four systems with one search_many call per block:
+    # neither output may change with the block size
     monkeypatch.setattr(index, "SEARCH_BLOCK", block)
+    calls = []
+    search_many = index.FlatIndex.search_many
+    monkeypatch.setattr(index.FlatIndex, "search_many",
+                        lambda self, queries, k: calls.append(len(queries))
+                        or search_many(self, queries, k))
+    blocks = -(-5 // block)  # the fixtures hold 5 queries
     golden = fixtures_dir / "golden" / "runs"
     code, out, _ = run_cli(capsys, *search_deo_argv(fixtures_dir, fixtures_dir / "cache.jsonl"))
     assert code == 0
     assert out == (golden / "deo.run").read_text()
+    assert len(calls) == blocks and sum(calls) == 5
+    calls.clear()
     code, _, _ = run_cli(capsys, "eval", "--config", str(fixtures_dir / "bench.cfg"),
                          "--run-dir", str(tmp_path / "runs"))
     assert code == 0
     for run in ("baseline", "deo", "avg_only", "rrf_only"):
         assert (tmp_path / "runs" / f"{run}.run").read_bytes() == (golden / f"{run}.run").read_bytes()
+    # rrf_only searches each sub-query, or the query when it has none
+    entries = [json.loads(line) for line in (fixtures_dir / "cache.jsonl").read_text().splitlines()]
+    rrf_rows = sum(max(1, len(e["positives"]) + len(e["negatives"])) for e in entries)
+    assert len(calls) == blocks and sum(calls) == 3 * 5 + rrf_rows
 
 
 def test_search_keeps_earlier_blocks_when_a_later_query_fails(fixtures_dir, tmp_path,
@@ -793,19 +806,22 @@ def online_eval(capsys, fixtures_dir, tmp_path, api, batch_size):
 @pytest.mark.parametrize("batch_size", [1, 3, 64])
 def test_online_eval_fetches_misses_in_batches(fixtures_dir, tmp_path, mock_api, capsys,
                                                batch_size):
-    # baseline fetches the query texts, deo the sub-query texts; avg_only
-    # and rrf_only find everything fetched; the full cache needs no chat
+    # one fetch serves all four systems: each query's text, then its
+    # sub-query texts, in query id order, each distinct text once; the full
+    # cache needs no chat
     mock_api.embed_dim = 8
     code, _, err = online_eval(capsys, fixtures_dir, tmp_path, mock_api, batch_size)
     assert code == 0, err
     query_texts, subs = fixture_texts(fixtures_dir)
-
-    def batches(texts):
-        return [texts[i : i + batch_size] for i in range(0, len(texts), batch_size)]
+    entries = {json.loads(line)["query"]: json.loads(line)
+               for line in (fixtures_dir / "cache.jsonl").read_text().splitlines()}
+    texts = list(dict.fromkeys(t for text in query_texts for t in (
+        text, *entries[text]["positives"], *entries[text]["negatives"])))
+    assert sorted(texts) == sorted(query_texts + subs)
 
     sent = [payload["input"] for path, payload in mock_api.requests if path == "/v1/embeddings"]
-    assert sent == batches(query_texts) + batches(subs)
-    assert len(sent) == -(-len(query_texts) // batch_size) - (-len(subs) // batch_size)
+    assert sent == [texts[i : i + batch_size] for i in range(0, len(texts), batch_size)]
+    assert len(sent) == -(-len(texts) // batch_size)
     assert mock_api.request_count("/v1/chat/completions") == 0
 
 

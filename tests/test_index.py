@@ -12,7 +12,16 @@ from deo.errors import (
     EmptyInputError,
     ZeroVectorError,
 )
-from deo.index import SEARCH_BLOCK, FlatIndex, RankedList, rrf_fuse, trec_lines, write_trec_run
+from deo.index import (
+    FLOAT32_SCREEN_MAX_NORM,
+    PRODUCT_ROWS,
+    SEARCH_BLOCK,
+    FlatIndex,
+    RankedList,
+    rrf_fuse,
+    trec_lines,
+    write_trec_run,
+)
 from deo.store import EmbeddingStore, load_store
 from deo.vecmath import ZERO_NORM_EPS, l2_normalize
 
@@ -150,7 +159,8 @@ def corpus_and_queries(draw):
     n = draw(st.integers(1, 300))
     d = draw(st.integers(1, 40))
     batch = draw(st.sampled_from([1, 2, SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1,
-                                  2 * SEARCH_BLOCK + 2]))
+                                  PRODUCT_ROWS - 1, PRODUCT_ROWS, PRODUCT_ROWS + 1,
+                                  2 * PRODUCT_ROWS + 2]))
     k = draw(st.integers(1, n + 3))
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(n, d))
@@ -186,7 +196,7 @@ def test_search_many_ignores_batch_order(seed):
     rng = np.random.default_rng(seed)
     n, d = 300, 24  # 300 rows leave a partial BLAS tile at the corpus edge
     index = FlatIndex.build(zip([f"d{i}" for i in range(n)], rng.normal(size=(n, d))))
-    queries = rng.normal(size=(2 * SEARCH_BLOCK + 5, d))
+    queries = rng.normal(size=(2 * PRODUCT_ROWS + 5, d))
     perm = rng.permutation(len(queries))
     forward = _exact_results(index.search_many(queries, 10))
     shuffled = _exact_results(index.search_many(queries[perm], 10))
@@ -241,7 +251,8 @@ def float32_corpus_and_queries(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 300))
     d = draw(st.integers(1, 40))
-    batch = draw(st.sampled_from([1, SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1]))
+    batch = draw(st.sampled_from([1, SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1,
+                                  PRODUCT_ROWS - 1, PRODUCT_ROWS, PRODUCT_ROWS + 1]))
     k = draw(st.one_of(st.integers(1, 4), st.integers(1, n + 3)))
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(n, d)).astype(np.float32)
@@ -286,6 +297,54 @@ def test_float32_extreme_norms_rank_like_oracle(scale):
     queries = np.concatenate([rng.normal(size=(40, d)), vectors[extreme[:30]]])
     for k in (1, 5, 60, n):
         assert_ranks_like_oracle(ids, vectors, queries, k)
+
+
+@st.composite
+def extreme_norm_corpus_and_queries(draw):
+    """A corpus of d = 1, 2 or 3 whose row norms spread log-uniformly from
+    1e-11 up to the largest a float32 screen takes (float32 store) or to 1e150
+    (float64 build), with exact ties: copied directions, at the same norm or
+    a power of two apart. Some queries are copies of corpus rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    float32 = draw(st.booleans())
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 60))
+    batch = draw(st.sampled_from([1, 7, PRODUCT_ROWS + 1]))
+    k = draw(st.integers(1, n + 3))
+    # a float32 row's norm may round up a little above its nominal value
+    top = FLOAT32_SCREEN_MAX_NORM * (1 - 2.0**-20) if float32 else 1e150
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(n, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    norms = 10.0 ** rng.uniform(-11, np.log10(top), size=n)
+    norms[rng.random(n) < 0.1] = top
+    for i, source in zip(rng.integers(0, n, size=n // 3), rng.integers(0, n, size=n // 3)):
+        scaled = norms[source] * 2.0 ** rng.integers(-2, 3)
+        directions[i] = directions[source]
+        norms[i] = scaled if 1e-11 <= scaled <= top else norms[source]
+    vectors = directions * norms[:, None]
+    if float32:
+        vectors = vectors.astype(np.float32)
+    ids = [f"doc{i:04d}" for i in rng.permutation(n)]
+    queries = rng.normal(size=(batch, d))
+    copied = rng.random(batch) < 0.5
+    queries[copied] = vectors[rng.integers(0, n, size=int(copied.sum()))]
+    return float32, ids, vectors, queries, k
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(extreme_norm_corpus_and_queries())
+def test_screen_at_extreme_norms_and_low_dimensions_matches_float64_oracle(case):
+    # the screen's slack covers the rounding of q, the product, the
+    # reciprocal norm and its multiply, at any norm the screen takes
+    float32, ids, vectors, queries, k = case
+    index = (FlatIndex.from_store(store_of(ids, vectors)) if float32
+             else FlatIndex.build(zip(ids, vectors)))
+    assert index._matrix.dtype == (np.float32 if float32 else np.float64)
+    # float.hex tells -0.0 from 0.0 and shows every bit
+    assert ([(r.doc_ids, [s.hex() for s in r.scores]) for r in index.search_many(queries, k)]
+            == [(ids_, [s.hex() for s in scores])
+                for ids_, scores in (float64_oracle(ids, vectors, q, k) for q in queries)])
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
