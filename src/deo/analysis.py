@@ -137,14 +137,6 @@ def trajectory_json(export: TrajectoryExport) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_trajectory_csv(export: TrajectoryExport, path) -> None:
-    atomic_write_text(path, trajectory_csv(export))
-
-
-def write_trajectory_json(export: TrajectoryExport, path) -> None:
-    atomic_write_text(path, trajectory_json(export))
-
-
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
@@ -238,5 +230,8 @@ def render_svg(export: TrajectoryExport) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_trajectory_svg(export: TrajectoryExport, path) -> None:
-    atomic_write_text(path, render_svg(export))
+def write_trajectory(export: TrajectoryExport, prefix: str) -> None:
+    """Write the export as prefix + .csv, .json and .svg, each atomically."""
+    atomic_write_text(prefix + ".csv", trajectory_csv(export))
+    atomic_write_text(prefix + ".json", trajectory_json(export))
+    atomic_write_text(prefix + ".svg", render_svg(export))

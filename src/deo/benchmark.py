@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import index as index_module
+from . import metrics as metrics_module
 from .analysis import TrajectoryExport, export_trajectory
 from .config import (OPTIMIZER_KEYS, accepts_optimizer_keywords, build_config, read_config,
                      resolve_path)
@@ -40,14 +41,7 @@ from .errors import (
 )
 from .index import FlatIndex, RankedList, rrf_fuse, write_trec_run
 from .ioutil import atomic_write_text, load_texts_jsonl
-from .metrics import (
-    Qrels,
-    average_precision_at_k,
-    load_qrels,
-    mean_over_queries,
-    ndcg_at_k,
-    recall_at_k,
-)
+from .metrics import Qrels, load_qrels, mean_over_queries
 from .optimizer import (
     DecompositionEmbeddings,
     OptimizationConfig,
@@ -66,13 +60,19 @@ QUERY_ERRORS = (MissingDecompositionError, MissingEmbeddingError, DimensionMisma
                 ValueError, ZeroVectorError)
 
 
+# Each metric kind and the deo.metrics function that scores a ranking at a
+# cutoff, by name: it is looked up at each use, so a rebound one (a tracer's
+# wrapper) is the one called.
+METRICS = {"ndcg": "ndcg_at_k", "map": "average_precision_at_k", "recall": "recall_at_k"}
+
+
 def parse_metric_spec(spec: str) -> tuple[str, int]:
-    """'ndcg@10' -> ('ndcg', 10); kinds: ndcg, map, recall."""
+    """'ndcg@10' -> ('ndcg', 10); kinds: those of METRICS."""
     name, sep, cutoff = spec.partition("@")
     if not sep:
         raise ConfigError(f"metric {spec!r} lacks an @cutoff")
     name = name.strip().lower()
-    if name not in ("ndcg", "map", "recall"):
+    if name not in METRICS:
         raise ConfigError(f"unknown metric kind {name!r}")
     try:
         k = int(cutoff)
@@ -81,15 +81,6 @@ def parse_metric_spec(spec: str) -> tuple[str, int]:
     if k <= 0:
         raise ConfigError(f"metric {spec!r} cutoff must be positive")
     return name, k
-
-
-def _compute_metric(spec: str, ranking: RankedList, judgments: dict[str, int]) -> float:
-    kind, k = parse_metric_spec(spec)
-    if kind == "ndcg":
-        return ndcg_at_k(ranking, judgments, k)
-    if kind == "map":
-        return average_precision_at_k(ranking, judgments, k)
-    return recall_at_k(ranking, judgments, k)
 
 
 def report_timestamp() -> str:
@@ -265,7 +256,7 @@ class QueryPipeline:
     def embeddings(self, query_id: str, text: str) -> DecompositionEmbeddings:
         """The query's decomposition, embedded: the optimizer's input."""
         self._prefetch([(query_id, text)])
-        rows, counts, error = self._gather([(query_id, text)], subqueries=True)
+        rows, counts, _, error = self._gather([(query_id, text)], subqueries=True)
         if error is not None:
             raise error
         return DecompositionEmbeddings(rows, counts[0][0])
@@ -274,19 +265,20 @@ class QueryPipeline:
         """A block of (query_id, text) pairs' raw embeddings as one (n, d)
         matrix, query after query in the DecompositionEmbeddings layout: its
         own vector, then (with `subqueries`) its K positive and M negative
-        vectors. Returns the matrix, each query's (K, M) and None. When a
-        query cannot be resolved (no decomposition or embedding, a NaN or Inf
-        component, or another dimension than the block's first vector), it
-        returns those of the queries before it and that query's error.
+        vectors. Returns the matrix, each query's (K, M), each row's (query
+        id, sub-query text or None) and None. When a query cannot be resolved
+        (no decomposition or embedding, a NaN or Inf component, or another
+        dimension than the block's first vector), it returns those of the
+        queries before it and that query's error.
         """
         rows: list[np.ndarray] = []
         counts: list[tuple[int, int]] = []
+        names: list[tuple[str, str | None]] = []
         try:
             for query_id, text in block:
                 entry = self.decomposition(query_id, text) if subqueries else None
-                found = [self._vector(text, query_id)]
-                if entry is not None:
-                    found += [self._vector(t) for t in (*entry.positives, *entry.negatives)]
+                subs = (*entry.positives, *entry.negatives) if entry else ()
+                found = [self._vector(text, query_id), *map(self._vector, subs)]
                 dim = (rows or found)[0].shape[0]
                 for vector in found:
                     if vector.shape[0] != dim:
@@ -294,26 +286,12 @@ class QueryPipeline:
                                                      f"dimension {vector.shape[0]}, expected {dim}")
                 rows += found
                 counts.append((len(entry.positives), len(entry.negatives)) if entry else (0, 0))
+                names += [(query_id, None), *((query_id, sub) for sub in subs)]
         except QUERY_ERRORS as exc:
-            return np.array(rows), counts, exc
-        return np.array(rows), counts, None
+            return np.array(rows), counts, names, exc
+        return np.array(rows), counts, names, None
 
-    def _describe(self, block, counts):
-        """describe(i) for row i of the matrix _gather stacked for `block`:
-        the query's id and, for a sub-query's row, the sub-query's text."""
-        starts = np.cumsum([0, *(1 + n_pos + n_neg for n_pos, n_neg in counts)])
-
-        def describe(i: int) -> str:
-            place = int(np.searchsorted(starts, i, side="right")) - 1
-            query_id, text = block[place]
-            if i == starts[place]:
-                return f"query {query_id!r}"
-            entry = self.decomposition(query_id, text)
-            subquery = (*entry.positives, *entry.negatives)[i - starts[place] - 1]
-            return f"query {query_id!r} sub-query {subquery!r}"
-        return describe
-
-    def _search_rows(self, system: str, block, gathered, optimizer: OptimizationConfig,
+    def _search_rows(self, system: str, gathered, optimizer: OptimizationConfig,
                      dim: int):
         """The rows `system` searches for a block that _gather returned as
         `gathered`, and for each query how many sub-query rankings it fuses
@@ -326,13 +304,17 @@ class QueryPipeline:
         index of dimension `dim`, so this raises what ranking the block alone
         raises first: for the queries gathered before the first one that
         could not be, a bad deo input row, then another dimension than the
-        index's, then a bad search row, named as in _describe; else the
+        index's, then a bad search row, named by its _gather name; else the
         gathering's error.
         """
-        rows, counts, error = gathered
+        rows, counts, names, error = gathered
         if not counts:
             raise error
-        describe = self._describe(block, counts)
+
+        def describe(i: int) -> str:
+            query_id, sub = names[i]
+            return f"query {query_id!r}" + ("" if sub is None else f" sub-query {sub!r}")
+
         sizes = np.array([1 + n_pos + n_neg for n_pos, n_neg in counts])
         starts = np.cumsum(sizes) - sizes
         fused = np.zeros(len(sizes), dtype=int)
@@ -351,7 +333,7 @@ class QueryPipeline:
             searched = rows[starts]
         if searched.shape[1] != dim:
             # _gather gives a block one dimension, that of its first vector
-            raise DimensionMismatchError(f"query {block[0][0]!r} has dimension "
+            raise DimensionMismatchError(f"query {names[0][0]!r} has dimension "
                                          f"{searched.shape[1]}, the index {dim}")
         row_norms(searched, lambda j: describe(source[j]))
         if error is not None:
@@ -392,15 +374,14 @@ class QueryPipeline:
             block = queries[start : start + index_module.SEARCH_BLOCK]
             subqueries = any(system != "baseline" for system in systems)
             full = own = self._gather(block, subqueries)
-            if subqueries and full[2] is not None and "baseline" in systems:
+            if subqueries and full[-1] is not None and "baseline" in systems:
                 # baseline reads no sub-query, so their errors must not stop it
                 own = self._gather(block, subqueries=False)
             batches = []
             for position, system in enumerate(systems):
                 try:
                     batches.append(self._search_rows(
-                        system, block, own if system == "baseline" else full, optimizer,
-                        index.dim))
+                        system, own if system == "baseline" else full, optimizer, index.dim))
                 except QUERY_ERRORS as exc:
                     if position == 0:
                         raise
@@ -427,15 +408,10 @@ class MetricReport:
     aggregates: dict
     per_query: dict
 
-    def to_json_obj(self) -> dict:
-        return {
-            "metadata": self.metadata,
-            "aggregates": self.aggregates,
-            "per_query": self.per_query,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        obj = {"metadata": self.metadata, "aggregates": self.aggregates,
+               "per_query": self.per_query}
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
     def write_json(self, path) -> None:
         atomic_write_text(path, self.to_json())
@@ -509,10 +485,10 @@ class _BenchmarkRunner:
             per_query[system] = {}
             aggregates[system] = {}
             for metric in cfg.metrics:
-                values = {
-                    qid: _compute_metric(metric, rankings[qid], self.qrels.get(qid, {}))
-                    for qid in query_ids
-                }
+                kind, k = parse_metric_spec(metric)
+                score = getattr(metrics_module, METRICS[kind])
+                values = {qid: score(rankings[qid], self.qrels.get(qid, {}), k)
+                          for qid in query_ids}
                 per_query[system][metric] = values
                 aggregates[system][metric] = mean_over_queries(
                     {qid: values[qid] for qid in scored_ids})

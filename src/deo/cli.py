@@ -30,7 +30,9 @@ EXIT_TRANSPORT = 3
 
 
 def _fail(exc: BaseException, code: int) -> int:
-    line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
+    # str() of a KeyError quotes its one argument as a dict key; print it as given
+    message = str(exc.args[0]) if isinstance(exc, KeyError) and len(exc.args) == 1 else str(exc)
+    line = json.dumps({"error": type(exc).__name__, "message": message})
     print(line, file=sys.stderr)
     return code
 
@@ -199,9 +201,7 @@ def cmd_trajectory(args) -> int:
     cfg = replace(cfg, optimizer=_with_steps(cfg.optimizer, args.steps))
     export = benchmark.trajectory(cfg, args.query_id,
                                   **_benchmark_endpoints(args, cfg.offline))
-    analysis.write_trajectory_csv(export, args.out_prefix + ".csv")
-    analysis.write_trajectory_json(export, args.out_prefix + ".json")
-    analysis.write_trajectory_svg(export, args.out_prefix + ".svg")
+    analysis.write_trajectory(export, args.out_prefix)
     print(f"gold rank {export.baseline_rank} -> {export.final_rank}; "
           f"wrote {args.out_prefix}.csv/.json/.svg")
     return EXIT_OK

@@ -75,8 +75,25 @@ class RankedList:
 class FlatIndex:
     """Brute-force cosine index. Exact by construction, no ANN structures."""
 
-    def __init__(self, doc_ids: list[str], positions: dict[str, int], matrix: np.ndarray,
-                 norms: np.ndarray, rank: np.ndarray | None = None):
+    def __init__(self, doc_ids: list[str], matrix: np.ndarray, norms: np.ndarray | None = None,
+                 rank: np.ndarray | None = None, positions: dict[str, int] | None = None):
+        """Index the rows of `matrix` under doc_ids in place; each row's
+        raw_row_norms, the id_rank and the doc id -> row map are computed when
+        not given. Raises EmptyInputError for zero documents, then the first
+        bad row's error as in row_norms, naming its doc, then DuplicateIdError.
+        """
+        if not doc_ids:
+            raise EmptyInputError("cannot build an index from zero documents")
+        norms = check_norms(raw_row_norms(matrix) if norms is None else norms,
+                            lambda i: f"doc {doc_ids[i]!r}")
+        if positions is None:
+            positions = {}
+            for i, doc_id in enumerate(doc_ids):
+                if positions.setdefault(doc_id, i) != i:
+                    raise DuplicateIdError(f"duplicate doc id {doc_id!r}")
+        if norms.max() > FLOAT32_SCREEN_MAX_NORM:
+            # a float32 product with such a row could overflow; screen in float64
+            matrix = matrix.astype(np.float64, copy=False)
         self._doc_ids = doc_ids
         self._positions = positions  # doc id -> row
         self._matrix = matrix  # float64 rows, or a store's float32 matrix
@@ -89,8 +106,7 @@ class FlatIndex:
         """Build from an iterable of (doc_id, vector) pairs, copied to float64.
 
         Raises DimensionMismatchError for a record that is not 1-D or not of
-        the first one's dimension, then EmptyInputError, then the first bad
-        row's error as in row_norms, naming its doc, then DuplicateIdError.
+        the first one's dimension, then what __init__ raises.
         """
         doc_ids: list[str] = []
         rows: list[np.ndarray] = []
@@ -104,34 +120,15 @@ class FlatIndex:
                 )
             doc_ids.append(doc_id)
             rows.append(row)
-        if not doc_ids:
-            raise EmptyInputError("cannot build an index from zero documents")
-        matrix = np.array(rows)
-        norms = row_norms(matrix, lambda i: f"doc {doc_ids[i]!r}")
-        positions: dict[str, int] = {}
-        for i, doc_id in enumerate(doc_ids):
-            if positions.setdefault(doc_id, i) != i:
-                raise DuplicateIdError(f"duplicate doc id {doc_id!r}")
-        return cls(doc_ids, positions, matrix, norms)
+        return cls(doc_ids, np.array(rows))
 
     @classmethod
     def from_store(cls, store) -> "FlatIndex":
         """Index an EmbeddingStore in place: its read-only float32 matrix,
         its id list, its id -> row map and, loaded from a v3 file, its norms
         and id rank are used without a copy, so the store must not change
-        afterwards. Raises EmptyInputError for an empty store, then the
-        first bad row's error as in row_norms, naming its doc."""
-        if not len(store):
-            raise EmptyInputError("cannot build an index from zero documents")
-        matrix = store.matrix
-        norms = store.stored_norms()
-        if norms is None:
-            norms = raw_row_norms(matrix)
-        check_norms(norms, lambda i: f"doc {store._ids[i]!r}")
-        if norms.max() > FLOAT32_SCREEN_MAX_NORM:
-            # a float32 product with such a row could overflow; screen in float64
-            matrix = matrix.astype(np.float64)
-        return cls(store._ids, store._index, matrix, norms, store._id_rank)
+        afterwards. Raises what __init__ raises."""
+        return cls(store._ids, store.matrix, store.stored_norms(), store._id_rank, store._index)
 
     def __len__(self) -> int:
         return len(self._doc_ids)

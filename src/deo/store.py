@@ -396,9 +396,15 @@ def embed_texts(embed_fn, texts: list[str], batch_size: int = 64) -> list[np.nda
                 f"endpoint returned {len(vectors)} vectors for {len(batch)} texts"
             )
         for vec in vectors:
-            row = np.asarray(vec, dtype=np.float64)
+            try:
+                row = np.asarray(vec)
+            except ValueError:  # ragged nesting
+                row = None
+            if row is None or row.dtype.kind not in "iuf":
+                raise FormatError("endpoint returned a vector whose components are not numbers")
             if row.ndim != 1:
                 raise FormatError(f"endpoint returned a vector of shape {row.shape}")
+            row = row.astype(np.float64, copy=False)
             if dim is None:
                 dim = row.shape[0]
             elif row.shape[0] != dim:

@@ -10,7 +10,7 @@ from deo.analysis import (
     render_svg,
     trajectory_csv,
     trajectory_json,
-    write_trajectory_svg,
+    write_trajectory,
 )
 from deo.errors import DimensionMismatchError, MissingGoldError
 from deo.index import FlatIndex
@@ -194,9 +194,8 @@ def test_svg_marker_counts_and_determinism(tmp_path):
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
 
-    out = tmp_path / "plot.svg"
-    write_trajectory_svg(export, out)
-    assert out.read_text() == svg
+    write_trajectory(export, str(tmp_path / "plot"))
+    assert (tmp_path / "plot.svg").read_text() == svg
 
 
 def test_svg_single_snapshot_has_no_path():

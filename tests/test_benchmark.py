@@ -492,6 +492,22 @@ def test_all_systems_raise_what_ranking_them_in_turn_raises(tmp_path, monkeypatc
         assert (type(info.value), str(info.value)) == (type(expected), str(expected)), flaws
 
 
+@pytest.mark.parametrize("system", ["deo", "rrf_only"])
+def test_an_empty_sub_query_text_is_named(tmp_path, system):
+    # a row is named by its sub-query text even when that text is ""
+    cfg = build_env(tmp_path, systems=system)
+    qstore = EmbeddingStore(dim=4, model="test-enc")
+    for key, vec in QUERY_VECS.items():
+        qstore.add(key, vec)
+    qstore.add("", np.zeros(4))
+    rows = [dict(row, negatives=[*row["negatives"], ""]) if row["query_id"] == "q1" else row
+            for row in CACHE_ROWS]
+    qstore.save_jsonl(tmp_path / "queries.emb.jsonl")
+    (tmp_path / "cache.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ZeroVectorError, match="^query 'q1' sub-query '' has norm"):
+        run_benchmark(cfg)
+
+
 @st.composite
 def ranking_cases(draw):
     """Queries with ragged K and M in 0..3 (K = M = 0 included), vectors that

@@ -461,6 +461,16 @@ def test_trajectory_unknown_query_id(fixtures_dir, tmp_path, capsys):
     assert "q99" in json.loads(err.strip())["message"]
 
 
+def test_key_error_line_carries_its_message_unquoted(fixtures_dir, tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "trajectory", "--config", str(fixtures_dir / "bench.cfg"),
+        "--query-id", "nope", "--out-prefix", str(tmp_path / "x"),
+    )
+    assert (code, out) == (1, "")
+    message = f"query id 'nope' not in {fixtures_dir / 'queries.jsonl'}"
+    assert err == json.dumps({"error": "KeyError", "message": message}) + "\n"
+
+
 # -- decomposition cache rule ------------------------------------------------
 
 

@@ -890,6 +890,14 @@ def test_embed_texts_validation():
         embed_texts(lambda texts: [5.0], ["a"])
 
 
+@pytest.mark.parametrize("vector", [["0.5", "0.25"], [None, 0.5], [True, False]],
+                         ids=["strings", "null", "booleans"])
+def test_embed_texts_rejects_components_that_are_not_numbers(vector):
+    # the rule the JSONL store reader applies: numpy must read the vector as numbers
+    with pytest.raises(FormatError, match="not numbers"):
+        embed_texts(lambda texts: [vector], ["a"])
+
+
 def test_embed_texts_dimension_consistency():
     class Flaky:
         def __init__(self):
