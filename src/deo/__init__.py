@@ -14,7 +14,6 @@ from .benchmark import (
     run_benchmark,
     sweep,
 )
-from .clients import ChatClient, ClientConfig, EmbeddingClient
 from .config import ToolConfig
 from .decomposer import (
     DecomposedQuery,
@@ -68,3 +67,12 @@ from .vecmath import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the clients import requests, which offline commands never need (PEP 562)
+    if name in ("ChatClient", "ClientConfig", "EmbeddingClient"):
+        from . import clients
+
+        return getattr(clients, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

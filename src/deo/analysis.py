@@ -45,11 +45,9 @@ class TrajectoryExport:
 
 
 def _best_gold_rank(index: FlatIndex, query: np.ndarray, gold_ids) -> int:
+    # full depth, so every gold doc export_trajectory found in the index is ranked
     ranking = index.search(query, k=len(index))
-    ranks = [rank for rank in map(ranking.rank_of, gold_ids) if rank is not None]
-    if not ranks:
-        raise MissingGoldError("no gold document retrieved from the index")
-    return min(ranks)
+    return min(map(ranking.rank_of, gold_ids))
 
 
 def export_trajectory(

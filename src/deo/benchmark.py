@@ -368,11 +368,11 @@ class QueryPipeline:
         if k <= 0:
             raise ValueError("k must be positive")
         queries = list(queries)
-        self._prefetch(queries, subqueries=any(system != "baseline" for system in systems))
+        subqueries = any(system != "baseline" for system in systems)
+        self._prefetch(queries, subqueries=subqueries)
         failure = None
         for start in range(0, len(queries), index_module.SEARCH_BLOCK):
             block = queries[start : start + index_module.SEARCH_BLOCK]
-            subqueries = any(system != "baseline" for system in systems)
             full = own = self._gather(block, subqueries)
             if subqueries and full[-1] is not None and "baseline" in systems:
                 # baseline reads no sub-query, so their errors must not stop it
@@ -413,9 +413,6 @@ class MetricReport:
                "per_query": self.per_query}
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
-    def write_json(self, path) -> None:
-        atomic_write_text(path, self.to_json())
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -431,9 +428,6 @@ class MetricReport:
             for metric in metric_names:
                 writer.writerow([system, "ALL", metric, repr(self.aggregates[system][metric])])
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        atomic_write_text(path, self.to_csv())
 
 
 class _BenchmarkRunner:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 
 from . import analysis, benchmark
-from .clients import ChatClient, EmbeddingClient
 from .config import ToolConfig
 from .decomposer import DecompositionCache, decompose_many
 from .errors import DeoError, TransportError
@@ -46,19 +46,17 @@ def _with_steps(optimizer: OptimizationConfig, steps: int | None) -> Optimizatio
     return optimizer if steps is None else replace(optimizer, steps=steps)
 
 
-def _chat_client(cfg: ToolConfig) -> ChatClient:
-    return ChatClient(cfg.chat_client_config(), model=cfg.chat_model,
-                      temperature=cfg.temperature)
-
-
-def _embed_client(cfg: ToolConfig) -> EmbeddingClient:
-    return EmbeddingClient(cfg.embed_client_config(), model=cfg.embed_model)
-
-
 def _endpoints(cfg: ToolConfig) -> dict:
     """QueryPipeline's online keywords from a tool config: both clients, the
-    decomposition limit and the batching."""
-    return {"chat_client": _chat_client(cfg), "embed_client": _embed_client(cfg),
+    decomposition limit and the batching. Only online commands call this, so
+    only they import the HTTP stack."""
+    from .clients import ChatClient, ClientConfig, EmbeddingClient
+
+    shared = {"timeout": cfg.timeout, "max_retries": cfg.max_retries}
+    chat = ClientConfig(base_url=cfg.chat_base_url, api_key_env=cfg.chat_api_key_env, **shared)
+    embed = ClientConfig(base_url=cfg.embed_base_url, api_key_env=cfg.embed_api_key_env, **shared)
+    return {"chat_client": ChatClient(chat, model=cfg.chat_model, temperature=cfg.temperature),
+            "embed_client": EmbeddingClient(embed, model=cfg.embed_model),
             "max_subqueries": cfg.max_subqueries, "batch_size": cfg.batch_size,
             "concurrency": cfg.concurrency}
 
@@ -75,7 +73,7 @@ def cmd_decompose(args) -> int:
     before = len(cache)
     results = decompose_many(
         list(queries.items()),
-        _chat_client(cfg),
+        _endpoints(cfg)["chat_client"],
         cache=cache,
         max_subqueries=cfg.max_subqueries,
         concurrency=cfg.concurrency,
@@ -89,10 +87,11 @@ def cmd_decompose(args) -> int:
 def cmd_ingest(args) -> int:
     cfg = _tool_config(args.config)
     texts = load_texts_jsonl(args.docs)
-    client = _embed_client(cfg)
+    embed = _endpoints(cfg)["embed_client"].embed
+    started = time.monotonic()
     report, _ = ingest_corpus(
         texts,
-        client.embed,
+        embed,
         args.out,
         batch_size=cfg.batch_size,
         fmt=args.format,
@@ -101,7 +100,7 @@ def cmd_ingest(args) -> int:
     )
     print(f"ingested {report.total} docs ({report.embedded} embedded, "
           f"{report.reused} reused), dim {report.dim}, "
-          f"{report.elapsed_seconds:.2f}s -> {args.out}")
+          f"{time.monotonic() - started:.2f}s -> {args.out}")
     return EXIT_OK
 
 
@@ -175,9 +174,9 @@ def cmd_eval(args) -> int:
     report_json = args.report_json or cfg.report_json
     report_csv = args.report_csv or cfg.report_csv
     if report_json:
-        report.write_json(report_json)
+        atomic_write_text(report_json, report.to_json())
     if report_csv:
-        report.write_csv(report_csv)
+        atomic_write_text(report_csv, report.to_csv())
     for system in report.metadata["systems"]:
         for metric in report.metadata["metrics"]:
             print(f"{system} {metric} {report.aggregates[system][metric]:.4f}")

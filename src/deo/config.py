@@ -13,7 +13,6 @@ import hashlib
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .clients import ClientConfig
 from .errors import ConfigError
 from .optimizer import PRESETS, OptimizationConfig
 
@@ -179,19 +178,3 @@ class ToolConfig:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
         return replace(self, optimizer=replace(self.optimizer, **PRESETS[preset]))
-
-    def chat_client_config(self) -> ClientConfig:
-        return ClientConfig(
-            base_url=self.chat_base_url,
-            api_key_env=self.chat_api_key_env,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-        )
-
-    def embed_client_config(self) -> ClientConfig:
-        return ClientConfig(
-            base_url=self.embed_base_url,
-            api_key_env=self.embed_api_key_env,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-        )

@@ -43,7 +43,9 @@ def atomic_write_text(path, text: str) -> None:
 # orjson reads an integer wider than 64 bits as a float where json keeps it
 # exact. Mapping digits to "0", the characters that lead into a fraction or
 # an exponent to "." and everything else to " " makes an integer token of 19
-# or more digits show as " " followed by 19 zeros, or open the text.
+# or more digits show as " " followed by 19 zeros, or open the text. The
+# same pass deletes '[' and '{', which in valid JSON follow only the start,
+# a blank, ',', ':' or each other, so such an integer still shows.
 _NUMBER_SHAPE = bytes(48 if 48 <= c <= 57 else 46 if c in b".eE+" else 32 for c in range(256))
 _WIDE = b"0" * 19
 
@@ -53,17 +55,25 @@ def loads(data: str | bytes):
 
     orjson rejects NaN/Infinity, numbers beyond float range and lone
     surrogates, and reads integers wider than 64 bits as floats; such texts
-    go to the stdlib, as does bad JSON, which then fails with the stdlib's
-    diagnostics.
+    go to the stdlib, as do texts that may nest too deep for orjson and bad
+    JSON, which then fails with the stdlib's diagnostics. Nesting too deep
+    for the stdlib is a JSONDecodeError.
     """
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    shape = raw.translate(_NUMBER_SHAPE)
-    if not (shape.startswith(_WIDE) or b" " + _WIDE in shape):
+    shape = raw.translate(_NUMBER_SHAPE, b"[{")
+    # orjson 3.8 has no depth limit and overflows the C stack past about
+    # 120,000 levels; a text of at most 20 kB, or with at most 10,000 '[' and
+    # '{' (the bytes the shape dropped), cannot nest that deep
+    deep = len(raw) > 20_000 and len(raw) - len(shape) > 10_000
+    if not (deep or shape.startswith(_WIDE) or b" " + _WIDE in shape):
         try:
             return orjson.loads(raw)
         except orjson.JSONDecodeError:
             pass
-    return json.loads(data)
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", "", 0) from None
 
 
 def read_jsonl(path):

@@ -19,7 +19,6 @@ import json
 import mmap
 import os
 import struct
-import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -423,7 +422,6 @@ class IngestReport:
     embedded: int
     reused: int
     dim: int
-    elapsed_seconds: float
 
 
 def ingest_corpus(
@@ -444,7 +442,6 @@ def ingest_corpus(
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    started = time.monotonic()
     existing: EmbeddingStore | None = None
     if resume and os.path.exists(os.fspath(out_path)):
         existing = load_store(out_path)
@@ -471,6 +468,5 @@ def ingest_corpus(
         embedded=len(pending),
         reused=reused,
         dim=dim,
-        elapsed_seconds=time.monotonic() - started,
     )
     return report, store

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -13,6 +14,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 import acceptance_report
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def child_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH, for a
+    test that runs deo in a child interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def stable_unit_vector(text: str, dim: int) -> np.ndarray:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from deo.cli import main
 from deo.config import parse_flat_config
 from deo.store import EmbeddingStore, load_store, save_store
 
-from conftest import stable_unit_vector
+from conftest import child_env, stable_unit_vector
 
 
 def run_cli(capsys, *argv):
@@ -336,6 +338,53 @@ def test_search_adhoc_query_is_its_own_id(fixtures_dir, tmp_path, capsys):
     code, out, err = run_cli(capsys, *search)
     assert code == 0, err
     assert [line.split()[0] for line in out.splitlines()] == ["q1"] * 3
+
+
+# every offline command, run in one fresh interpreter; it then reports whether
+# requests was imported, and how the package's lazy client exports behave
+OFFLINE_IMPORT_PROBE = """
+import json, sys
+from deo.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+offline = "requests" in sys.modules
+import deo
+from deo import ChatClient, ClientConfig, EmbeddingClient
+try:
+    deo.NoSuchName
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+names = [cls.__module__ + "." + cls.__name__ for cls in (ChatClient, ClientConfig, EmbeddingClient)]
+print(json.dumps([codes, offline, names, unknown]))
+"""
+
+
+def test_offline_commands_never_import_requests(fixtures_dir, tmp_path):
+    tool, bench = str(fixtures_dir / "tool.cfg"), str(fixtures_dir / "bench.cfg")
+    stores = ["--query-store", str(fixtures_dir / "queries.emb.jsonl"),
+              "--cache", str(fixtures_dir / "cache.jsonl")]
+    commands = [
+        ["index", "--store", str(fixtures_dir / "corpus.emb.jsonl")],
+        ["search", "--offline", "--deo", "--config", tool, "--store",
+         str(fixtures_dir / "corpus.emb.jsonl"), "--queries", str(fixtures_dir / "queries.jsonl"),
+         *stores],
+        ["optimize", "--offline", "--config", tool, "--query",
+         "wind farm technology but not offshore installations", *stores],
+        ["eval", "--config", bench, "--report-json", str(tmp_path / "report.json"),
+         "--run-dir", str(tmp_path / "runs")],
+        ["sweep", "--config", str(fixtures_dir / "sweep.cfg"), "--out", str(tmp_path / "sweep.csv")],
+        ["trajectory", "--config", bench, "--query-id", "q1",
+         "--out-prefix", str(tmp_path / "traj")],
+    ]
+    result = subprocess.run([sys.executable, "-c", OFFLINE_IMPORT_PROBE, json.dumps(commands)],
+                            capture_output=True, text=True, env=child_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    codes, offline, names, unknown = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert offline is False
+    assert names == ["deo.clients.ChatClient", "deo.clients.ClientConfig",
+                     "deo.clients.EmbeddingClient"]
+    assert unknown == "module 'deo' has no attribute 'NoSuchName'"
 
 
 # -- optimize -----------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from deo.benchmark import BenchmarkConfig
+from deo.cli import _endpoints
 from deo.clients import ChatClient, ClientConfig, EmbeddingClient, _post_with_retries
 from deo.config import OPTIMIZER_KEYS, ToolConfig, parse_flat_config
 from deo.errors import ConfigError, EmptyInputError, TransportError
@@ -118,9 +119,10 @@ def test_tool_config_projections():
         {"steps": "3", "lambda_n": "0.5", "timeout": "5.0", "max_retries": "1"}
     )
     assert (cfg.optimizer.steps, cfg.optimizer.lambda_n) == (3, 0.5)
-    cc = cfg.chat_client_config()
+    endpoints = _endpoints(cfg)
+    cc = endpoints["chat_client"].cfg
     assert (cc.timeout, cc.max_retries) == (5.0, 1)
-    assert cfg.embed_client_config().base_url == cfg.embed_base_url
+    assert endpoints["embed_client"].cfg.base_url == cfg.embed_base_url
 
 
 # -- http clients ----------------------------------------------------------
@@ -267,4 +269,13 @@ def test_non_json_200_body_is_transport_error(monkeypatch):
     monkeypatch.setattr("deo.clients.requests.post", lambda *a, **k: response)
     client = EmbeddingClient(ClientConfig(max_retries=0), sleep=lambda s: None)
     with pytest.raises(TransportError, match="non-JSON 200 response"):
+        client.embed(["a"])
+
+
+def test_too_deeply_nested_200_body_is_transport_error(monkeypatch):
+    response = StubResponse(None)
+    response.content = b"[" * 15_000 + b"]" * 15_000
+    monkeypatch.setattr("deo.clients.requests.post", lambda *a, **k: response)
+    client = EmbeddingClient(ClientConfig(max_retries=0), sleep=lambda s: None)
+    with pytest.raises(TransportError, match="non-JSON 200 response .*nesting too deep"):
         client.embed(["a"])

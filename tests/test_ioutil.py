@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,8 @@ from deo.decomposer import DecompositionCache
 from deo.errors import EmptyInputError, FormatError
 from deo.ioutil import load_texts_jsonl, loads
 from deo.store import load_store
+
+from conftest import child_env
 
 # every character, lone surrogates included
 ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
@@ -94,6 +98,37 @@ def test_read_jsonl_keeps_wide_integers_and_lone_surrogates(tmp_path):
                     '{"id": "q", "text": "a", "text": "d"}\n')
     assert load_texts_jsonl(path) == {"123456789012345678901234567890": "a", "\ud800": "b",
                                       "-9223372036854775809": "c", "q": "d"}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps([[i] for i in range(12_000)]),  # over 20 kB with over 10,000 '['
+    "[[12345678901234567890123]]",
+    '{"a": [-12345678901234567890], "b": {"c": [[18446744073709551616]]}}',
+])
+def test_loads_reads_bracket_heavy_texts_like_json_loads(text):
+    assert same_json(loads(text), json.loads(text))
+
+
+def test_loads_nested_too_deep_for_the_stdlib_is_a_decode_error():
+    with pytest.raises(json.JSONDecodeError, match="nesting too deep"):
+        loads("[" * 15_000 + "]" * 15_000)
+
+
+def test_a_line_nested_past_orjsons_stack_is_a_data_error(tmp_path):
+    # orjson 3.8 overflowed the C stack on this line and killed the
+    # interpreter, so the command runs in a child process
+    depth = 1_000_000
+    queries = tmp_path / "q.jsonl"
+    queries.write_text('{"id": ' + "[" * depth + "]" * depth + ', "text": "x"}\n')
+    result = subprocess.run(
+        [sys.executable, "-m", "deo", "decompose", "--queries", str(queries),
+         "--cache", str(tmp_path / "cache.jsonl")],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    [line] = result.stderr.splitlines()
+    assert json.loads(line) == {"error": "FormatError",
+                                "message": f"{queries}:1: invalid JSON (nesting too deep)"}
 
 
 # -- one id rule for every JSONL reader ----------------------------------------
