@@ -115,7 +115,7 @@ def _first_json_object(text: str) -> dict:
             continue
         try:
             obj, _ = decoder.raw_decode(text, pos)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # nested too deep is no parse either
             continue
         if isinstance(obj, dict):
             return obj

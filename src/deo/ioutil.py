@@ -40,6 +40,11 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+# orjson 3.8 has no depth limit and overflows the C stack past about 120,000
+# levels; a text of at most this many characters (or bytes), or with at most
+# 10,000 '[' and '{', cannot nest that deep
+SHALLOW_TEXT = 20_000
+
 # orjson reads an integer wider than 64 bits as a float where json keeps it
 # exact. Mapping digits to "0", the characters that lead into a fraction or
 # an exponent to "." and everything else to " " makes an integer token of 19
@@ -61,10 +66,7 @@ def loads(data: str | bytes):
     """
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
     shape = raw.translate(_NUMBER_SHAPE, b"[{")
-    # orjson 3.8 has no depth limit and overflows the C stack past about
-    # 120,000 levels; a text of at most 20 kB, or with at most 10,000 '[' and
-    # '{' (the bytes the shape dropped), cannot nest that deep
-    deep = len(raw) > 20_000 and len(raw) - len(shape) > 10_000
+    deep = len(raw) > SHALLOW_TEXT and len(raw) - len(shape) > 10_000
     if not (deep or shape.startswith(_WIDE) or b" " + _WIDE in shape):
         try:
             return orjson.loads(raw)
@@ -76,18 +78,28 @@ def loads(data: str | bytes):
         raise json.JSONDecodeError("nesting too deep", "", 0) from None
 
 
+def jsonl_lines(fh):
+    """Yield (lineno, line) for every non-blank line of a text file, stripped."""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def parse_line(path, lineno: int, line: str):
+    """loads(line); malformed JSON raises FormatError naming the file and line."""
+    try:
+        return loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+
+
 def read_jsonl(path):
     """Yield (lineno, object) for every non-blank line; malformed JSON raises
     FormatError naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        for lineno, line in jsonl_lines(fh):
+            yield lineno, parse_line(path, lineno, line)
 
 
 def read_id(value, path, lineno: int, field: str = "id") -> str:

@@ -26,7 +26,7 @@ import numpy as np
 import orjson
 
 from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError, FormatError
-from .ioutil import atomic_write_bytes, loads, read_id, read_jsonl
+from .ioutil import SHALLOW_TEXT, atomic_write_bytes, jsonl_lines, loads, parse_line, read_id
 from .vecmath import raw_row_norms
 
 JSONL_FORMAT_NAME = "deo-emb"
@@ -42,7 +42,8 @@ class EmbeddingStore:
     """Ordered id -> float32 vector map with fixed dimension.
 
     The vectors live in one contiguous float32 array whose first len(self)
-    rows are in use; add() grows it by doubling. A store loaded from a v3
+    rows are in use; a JSONL load leaves rows to spare, and add() grows the
+    array by doubling once they run out. A store loaded from a v3
     file also holds the file's raw_row_norms and id_rank of its rows, which
     add() drops.
     """
@@ -145,41 +146,48 @@ class EmbeddingStore:
 
     @classmethod
     def load_jsonl(cls, path) -> "EmbeddingStore":
-        rows = read_jsonl(path)
-        try:
-            lineno, header = next(rows)
-        except StopIteration:
-            raise FormatError(f"{path}: empty embedding file") from None
-        if not isinstance(header, dict) or header.get("format") != JSONL_FORMAT_NAME:
-            raise FormatError(f"{path}:{lineno}: missing {JSONL_FORMAT_NAME!r} header")
-        if header.get("version") != JSONL_FORMAT_VERSION:
-            raise FormatError(
-                f"{path}:{lineno}: unsupported version {header.get('version')!r}"
-            )
-        dim = header.get("dim")
-        if not isinstance(dim, int) or dim <= 0:
-            raise FormatError(f"{path}:{lineno}: header dim must be a positive integer")
-        store = cls(dim=dim, model=str(header.get("model", "")))
-        for lineno, obj in rows:
-            if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
-                raise FormatError(f"{path}:{lineno}: expected 'id' and 'vector' fields")
-            vector = obj["vector"]
-            if not isinstance(vector, list) or len(vector) != dim:
-                raise FormatError(
-                    f"{path}:{lineno}: vector length {len(vector) if isinstance(vector, list) else '?'}"
-                    f" does not match header dim {dim}"
-                )
+        """Read every record into one float32 matrix, sized once for as many
+        rows as the file could hold. _quick_record parses a record line; a
+        line it leaves goes through ioutil.loads and _record_row, so any
+        line a check rejects raises the FormatError naming its line."""
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = jsonl_lines(fh)
             try:
-                row = np.asarray(vector)
-            except ValueError:  # ragged nesting
-                row = None
-            if row is None or row.ndim != 1 or row.dtype.kind not in "iuf":
-                raise FormatError(f"{path}:{lineno}: vector components must be numbers")
-            try:
-                store.add(read_id(obj["id"], path, lineno), row)
-            except DuplicateIdError:
-                raise FormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}") from None
-        return store
+                lineno, line = next(lines)
+            except StopIteration:
+                raise FormatError(f"{path}: empty embedding file") from None
+            header = parse_line(path, lineno, line)
+            if not isinstance(header, dict) or header.get("format") != JSONL_FORMAT_NAME:
+                raise FormatError(f"{path}:{lineno}: missing {JSONL_FORMAT_NAME!r} header")
+            version, dim = header.get("version"), header.get("dim")
+            if type(version) is not int or version != JSONL_FORMAT_VERSION:
+                raise FormatError(f"{path}:{lineno}: unsupported version {version!r}")
+            if type(dim) is not int or dim <= 0:
+                raise FormatError(f"{path}:{lineno}: header dim must be a positive integer")
+            model = str(header.get("model", ""))
+            # a record line holds at least 2 * dim + 19 characters and a line
+            # end. An anonymous map commits only the rows written; numpy asks
+            # for huge pages for an array this large, which raised the peak
+            # RSS of the online-cold benchmark by 5-7 MiB.
+            rows = os.fstat(fh.fileno()).st_size // (2 * dim + 20)
+            vectors = np.frombuffer(mmap.mmap(-1, 4 * dim * rows or 1), np.float32, dim * rows)
+            vectors = vectors.reshape(rows, dim)
+            # a line of more than SHALLOW_TEXT numbers is never packed
+            pack = struct.Struct(f"{min(dim, SHALLOW_TEXT)}d").pack
+            ids: list[str] = []
+            index: dict[str, int] = {}
+            for lineno, line in lines:
+                obj, row = _quick_record(line, pack)
+                if row is None:
+                    obj = parse_line(path, lineno, line)
+                    row = _record_row(path, lineno, obj, dim)
+                record_id = read_id(obj["id"], path, lineno)
+                if record_id in index:
+                    raise FormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
+                vectors[len(ids)] = row
+                index[record_id] = len(ids)
+                ids.append(record_id)
+        return cls(dim=dim, model=model, _ids=ids, _index=index, _vectors=vectors)
 
     # -- binary --------------------------------------------------------
 
@@ -307,6 +315,50 @@ class EmbeddingStore:
             raise FormatError(f"{path}: {size - offset} trailing bytes after records")
         return cls(dim=dim, _ids=ids, _index=index,
                    _vectors=vectors.astype(np.float32, copy=False))
+
+
+def _quick_record(line: str, pack):
+    """(object, row) for a record line that orjson alone may parse, else
+    (None, None). pack packs the store's dim doubles.
+
+    orjson agrees with json.loads on every text it accepts, except that it
+    reads an integer wider than 64 bits as a float. pack takes dim numbers
+    and bools, but no string, null or list. So a row is taken as it is when
+    the id is a string, the first component no bool (a row of bools is no
+    vector) and every component below 2**53 in magnitude: then each integer
+    is exact as a double, and the float32 row is the one np.asarray gives
+    from json.loads. A line longer than SHALLOW_TEXT is left to
+    ioutil.loads, which guards orjson's depth.
+    """
+    if len(line) <= SHALLOW_TEXT:
+        try:
+            obj = orjson.loads(line)
+            vector = obj["vector"]
+            row = np.frombuffer(pack(*vector), dtype=np.float64)
+            if type(obj["id"]) is str and type(vector[0]) is not bool and abs(row).max() < 2.0**53:
+                return obj, row
+        except (ValueError, TypeError, KeyError, struct.error):  # no JSON, record or numbers
+            pass
+    return None, None
+
+
+def _record_row(path, lineno: int, obj, dim: int) -> np.ndarray:
+    """obj's vector as np.asarray reads it, or FormatError naming the line."""
+    if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
+        raise FormatError(f"{path}:{lineno}: expected 'id' and 'vector' fields")
+    vector = obj["vector"]
+    if not isinstance(vector, list) or len(vector) != dim:
+        raise FormatError(
+            f"{path}:{lineno}: vector length {len(vector) if isinstance(vector, list) else '?'}"
+            f" does not match header dim {dim}"
+        )
+    try:
+        row = np.asarray(vector)
+    except ValueError:  # ragged nesting
+        row = None
+    if row is None or row.ndim != 1 or row.dtype.kind not in "iuf":
+        raise FormatError(f"{path}:{lineno}: vector components must be numbers")
+    return row
 
 
 def _map_v3_tail(path, mapped, blocks, count: int) -> tuple[np.ndarray, np.ndarray]:

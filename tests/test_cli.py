@@ -128,6 +128,20 @@ def test_index_ok(fixtures_dir, capsys):
     assert out.strip() == "index ok: 20 docs, dim 8"
 
 
+@pytest.mark.parametrize("fields, message", [
+    ('"version":1,"dim":true', "header dim must be a positive integer"),
+    ('"version":1,"dim":4.0', "header dim must be a positive integer"),
+    ('"version":true,"dim":4', "unsupported version True"),
+    ('"version":1.0,"dim":4', "unsupported version 1.0"),
+])
+def test_index_names_a_header_field_that_is_no_json_integer(tmp_path, capsys, fields, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"format":"deo-emb",%s}\n{"id":"a","vector":[1,0,0,0]}\n' % fields)
+    code, out, err = run_cli(capsys, "index", "--store", str(path))
+    assert (code, out) == (1, "")
+    assert err == json.dumps({"error": "FormatError", "message": f"{path}:1: {message}"}) + "\n"
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
 def test_index_on_a_store_without_records_is_empty_input(tmp_path, capsys, fmt):
     path = tmp_path / "corpus.store"

@@ -102,6 +102,35 @@ def test_parse_idempotent_on_serialized_output():
     assert parse_decomposition_response(rendered) == (positives, negatives)
 
 
+# a reply nested past the stdlib's recursion limit
+TOO_DEEP = '{"positives": ' + "[" * 3000
+
+
+def test_parse_reply_nested_too_deep_is_a_parse_error():
+    with pytest.raises(ParseError, match="no JSON object found"):
+        parse_decomposition_response(TOO_DEEP)
+
+
+class ScriptedChat:
+    """Stub chat client: returns one reply for every prompt, counts calls."""
+
+    model = "scripted"
+
+    def __init__(self, reply):
+        self.reply, self.prompts = reply, []
+
+    def complete(self, prompt):
+        self.prompts.append(prompt)
+        return self.reply
+
+
+def test_decompose_falls_back_to_identity_on_a_reply_nested_too_deep():
+    client = ScriptedChat(TOO_DEEP)
+    result = decompose("find cats not dogs", client, query_id="q1")
+    assert (result.positives, result.negatives) == (("find cats not dogs",), ())
+    assert result.model == "scripted" and len(client.prompts) == 2
+
+
 # -- decompose over the wire ----------------------------------------------
 
 

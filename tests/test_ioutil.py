@@ -131,6 +131,23 @@ def test_a_line_nested_past_orjsons_stack_is_a_data_error(tmp_path):
                                 "message": f"{queries}:1: invalid JSON (nesting too deep)"}
 
 
+def test_a_store_record_nested_past_orjsons_stack_is_a_data_error(tmp_path):
+    # the store reader parses records with orjson itself, so it must keep
+    # long lines away from it as loads does
+    depth = 1_000_000
+    store = tmp_path / "s.jsonl"
+    store.write_text('{"format":"deo-emb","version":1,"dim":1}\n'
+                     '{"id": "a", "vector": [' + "[" * depth + "]" * depth + "]}\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "deo", "index", "--store", str(store)],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    [line] = result.stderr.splitlines()
+    assert json.loads(line) == {"error": "FormatError",
+                                "message": f"{store}:2: invalid JSON (nesting too deep)"}
+
+
 # -- one id rule for every JSONL reader ----------------------------------------
 
 # reader -> (a valid first line, raw JSON id -> a record line with that id,

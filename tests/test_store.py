@@ -1,6 +1,7 @@
 import json
 import struct
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from deo.errors import (
     FormatError,
 )
 from deo.index import FlatIndex
+from deo.ioutil import SHALLOW_TEXT, read_id, read_jsonl
 from deo.store import (
     EmbeddingStore,
     embed_texts,
@@ -273,6 +275,155 @@ def test_jsonl_roundtrip_property(tmp_path_factory, store):
     for line, record_id, row in zip(lines, store.ids, store.matrix):
         obj = json.loads(line)
         assert obj["id"] == record_id and same_float32(obj["vector"], row)
+
+
+def oracle_load_jsonl(path) -> EmbeddingStore:
+    """The line-by-line reference reader: every line through
+    ioutil.read_jsonl, every row through EmbeddingStore.add. load_jsonl
+    must give its store or its exception, on every input."""
+    rows = read_jsonl(path)
+    try:
+        lineno, header = next(rows)
+    except StopIteration:
+        raise FormatError(f"{path}: empty embedding file") from None
+    if not isinstance(header, dict) or header.get("format") != "deo-emb":
+        raise FormatError(f"{path}:{lineno}: missing 'deo-emb' header")
+    if header.get("version") != 1:
+        raise FormatError(f"{path}:{lineno}: unsupported version {header.get('version')!r}")
+    dim = header.get("dim")
+    if not isinstance(dim, int) or dim <= 0:
+        raise FormatError(f"{path}:{lineno}: header dim must be a positive integer")
+    store = EmbeddingStore(dim=dim, model=str(header.get("model", "")))
+    for lineno, obj in rows:
+        if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
+            raise FormatError(f"{path}:{lineno}: expected 'id' and 'vector' fields")
+        vector = obj["vector"]
+        if not isinstance(vector, list) or len(vector) != dim:
+            raise FormatError(
+                f"{path}:{lineno}: vector length {len(vector) if isinstance(vector, list) else '?'}"
+                f" does not match header dim {dim}"
+            )
+        try:
+            row = np.asarray(vector)
+        except ValueError:  # ragged nesting
+            row = None
+        if row is None or row.ndim != 1 or row.dtype.kind not in "iuf":
+            raise FormatError(f"{path}:{lineno}: vector components must be numbers")
+        try:
+            store.add(read_id(obj["id"], path, lineno), row)
+        except DuplicateIdError:
+            raise FormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}") from None
+    return store
+
+
+WIDE = [2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**25]
+# components a store may hold, and ones that fail it
+NUMBERS = ([str(v) for w in WIDE[:5] for v in (w, -w)]
+           + ["1e300", "-1e300", "1e400", "NaN", "Infinity", "-Infinity", "true", "false",
+              "-0", "1E5", "3.4028235e+38", "4.9e-325"])
+NOT_NUMBERS = [str(v) for w in WIDE[5:] for v in (w, -w)] + ["null", '"1.5"', "[1.5]", "[]", "{}"]
+# one-of draws each branch alike, so repeats weight the plain cases
+COMPONENTS = st.one_of(
+    *[st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)] * 6,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-2**60, 2**60).map(str),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(NUMBERS),
+    st.sampled_from(NUMBERS),
+    st.sampled_from(NOT_NUMBERS),
+)
+IDS = st.one_of(
+    *[st.text(st.characters(exclude_categories=()), max_size=4).map(json.dumps)] * 6,
+    st.integers(-10**25, 10**25).map(str),
+    st.sampled_from(['"a"', '"b"', '"\\u00e9"', '"\\ud800"', "1", "12345678901234567890123",
+                     "-98765432109876543210", "true", "null", "1.5", '["a"]']),
+)
+RECORDS = ['{"id":%s,"vector":%s}'] * 12 + [
+    '{"vector":%s,"id":%s}', '{"id":%s,"vector":%s,"x":1e999}', '{"id":%s,"vector":[%s]}',
+    '{"id":%s}', '[%s,%s]', '{"id":%s,"vector":%s',
+]
+BLANKS = st.sampled_from([""] * 6 + [" ", "\t", "\x0c", "\x85", "　"])
+
+
+@st.composite
+def hostile_jsonl(draw) -> bytes:
+    """A store file of a valid header and 0-6 records, plain or hostile:
+    wide, special and non-numeric components, wrong lengths, nesting, odd
+    and duplicate ids, garbage, blank and whitespace lines, and any mix of
+    line ends."""
+    dim = draw(st.integers(1, 3))
+    lines = [json.dumps({"format": "deo-emb", "version": 1, "dim": dim, "model": draw(st.text(max_size=3))})]
+    for _ in range(draw(st.integers(0, 6))):
+        count = draw(st.sampled_from([dim] * 12 + [dim - 1, dim + 1]))
+        vector = "[%s]" % ",".join(draw(st.lists(COMPONENTS, min_size=count, max_size=count)))
+        record = draw(st.sampled_from(RECORDS))
+        fields = (draw(IDS), vector)[: record.count("%s")]
+        if record.startswith('{"vector"'):
+            fields = fields[::-1]
+        lines.append(draw(BLANKS) + record % fields + draw(BLANKS))
+        lines.extend(draw(st.lists(BLANKS, max_size=1)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def outcome(load, path):
+    """What a loader makes of path: its store's fields and matrix bytes, or
+    its exception's type and message."""
+    try:
+        store = load(path)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return store.dim, store.model, store.ids, store.matrix.dtype, store.matrix.tobytes()
+
+
+HEADER_2 = b'{"format":"deo-emb","version":1,"dim":2,"model":"m"}\n'
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(hostile_jsonl())
+@example(HEADER_2 + b'{"id":"a","vector":[1,-2]}\n{"id":"b","vector":[16777217,9007199254740993]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[9223372036854775808,1]}\n{"id":"b","vector":[-9223372036854775809,1]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[18446744073709551616,1.5]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[-18446744073709551616,100000000000000000000000000]}\n')
+@example(HEADER_2 + b'{"id":12345678901234567890123,"vector":[1,2]}\n{"id":"12345678901234567890123","vector":[1,2]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[true,false]}\n{"id":"b","vector":[true,1]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[true,2.5]}\n{"id":"b","vector":[false,true]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[NaN,Infinity]}\n{"id":"b","vector":[-Infinity,1e400]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[1e300,-1e300]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[9007199791611905,1]}\n{"id":"b","vector":[9007199791611905,0.5]}\n')
+@example(b'{"format":"deo-emb","version":1,"dim":1}' + b"".join(b'\n{"id":%d,"vector":[0]}' % i for i in range(10)))
+@example(HEADER_2 + b'{"id":"a","vector":["1.5",2]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[[1.5],[2]]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[1.5,[2]]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[1.5]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[1.5,2,3]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[1,2]}\n{"id":"a","vector":[3,4]}\n')
+@example(HEADER_2 + b'{"id":1,"vector":[1,2]}\n{"id":"1","vector":[3,4]}\n')
+@example(HEADER_2 + b'\n   \n{"id":"a","vector":[1,2]}\n\t\x0c\n\n{"id":"b","vector":[3,4]}\n\n')
+@example(b'{"format":"deo-emb","version":1,"dim":2}\r\n{"id":"a","vector":[1,2]}\r\n{"id":"b","vector":[3,4]}\r\n')
+@example(b'{"format":"deo-emb","version":1,"dim":2}\r{"id":"a","vector":[1,2]}\r{"id":"a","vector":[3]}\r')
+@example(HEADER_2 + b'{"id":"a","vector":[18446744073709551616,1]}\n{"id":"b","vector":[1]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[1,2]}\n{"id":"a","vector":[1,2]}\n{"id":"c","vector":[1]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[1,2]}\n{"id":"b","vector":[1,2]\n{"id":"c","vector":[1]}\n')
+@example(HEADER_2 + b'{"id":"a","vector":[1,2]}\n{"id":"b","vector":[\xff]}\n')
+def test_jsonl_reader_matches_the_line_by_line_oracle(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("diff") / "s.jsonl"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # float32 overflow to inf
+        assert outcome(load_store, path) == outcome(oracle_load_jsonl, path)
+
+
+def test_jsonl_reader_takes_a_line_past_the_depth_guard_like_the_oracle(tmp_path):
+    # a record over SHALLOW_TEXT characters takes the exact path whole
+    vector = [float(x) for x in np.random.default_rng(9).normal(size=2000)]
+    path = tmp_path / "long.jsonl"
+    path.write_text('{"format":"deo-emb","version":1,"dim":2000}\n'
+                    + json.dumps({"id": 7, "vector": vector}) + "\n"
+                    + json.dumps({"id": "b", "vector": vector}) + "\n")
+    assert len(path.read_text().splitlines()[1]) > SHALLOW_TEXT
+    assert outcome(load_store, path) == outcome(oracle_load_jsonl, path)
+    assert load_store(path).ids == ["7", "b"]
 
 
 def short_file_message(path, n):
@@ -802,6 +953,28 @@ def test_add_after_a_v3_load_indexes_like_build(tmp_path):
     for i, row in enumerate(rng.normal(size=(3, 5))):
         store.add(f"added{i}", row)
     assert store._norms is None and store._id_rank is None
+    grown, built = FlatIndex.from_store(store), FlatIndex.build(zip(store.ids, store.matrix))
+    assert grown._norms.tobytes() == built._norms.tobytes()
+    assert np.array_equal(grown._id_rank, built._id_rank)
+    queries = np.concatenate([rng.normal(size=(4, 5)), store.matrix[-3:]])
+    for k in (1, 10, 23):
+        assert ([(r.doc_ids, r.scores) for r in grown.search_many(queries, k)]
+                == [(r.doc_ids, r.scores) for r in built.search_many(queries, k)])
+
+
+def test_add_after_a_jsonl_load_indexes_like_build_and_keeps_earlier_views(tmp_path):
+    # the JSONL reader fills a matrix with rows to spare, which add() then
+    # writes into; a view taken before must neither grow nor change
+    rng = np.random.default_rng(17)
+    path = tmp_path / "s.jsonl"
+    save_store(random_store(rng, n=20, dim=5), path)
+    store = load_store(path)
+    before = store.matrix
+    kept = before.copy()
+    for i, row in enumerate(rng.normal(size=(3, 5))):
+        store.add(f"added{i}", row)
+    assert before.shape == (20, 5) and not before.flags.writeable
+    assert before.tobytes() == kept.tobytes() == store.matrix[:20].tobytes()
     grown, built = FlatIndex.from_store(store), FlatIndex.build(zip(store.ids, store.matrix))
     assert grown._norms.tobytes() == built._norms.tobytes()
     assert np.array_equal(grown._id_rank, built._id_rank)
