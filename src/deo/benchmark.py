@@ -22,8 +22,7 @@ import numpy as np
 from . import index as index_module
 from . import metrics as metrics_module
 from .analysis import TrajectoryExport, export_trajectory
-from .config import (OPTIMIZER_KEYS, accepts_optimizer_keywords, build_config, read_config,
-                     resolve_path)
+from .config import OPTIMIZER_KEYS, accepts_optimizer_keywords, build_config, read_config
 from .decomposer import (
     DEFAULT_MAX_SUBQUERIES,
     DecomposedQuery,
@@ -533,65 +532,32 @@ def trajectory(cfg: BenchmarkConfig, query_id: str, chat_client=None,
     return export_trajectory(trace, runner.index, runner.qrels.get(query_id, {}), basis)
 
 
+@accepts_optimizer_keywords
 @dataclass(frozen=True)
-class SweepConfig:
-    """Grid of loss-weight triples and step counts over one benchmark."""
+class SweepConfig(BenchmarkConfig):
+    """A benchmark and a grid over it: loss-weight triples (lambda_o,
+    lambda_p, lambda_n) and step counts. An empty axis holds the benchmark's
+    own value; every grid point is checked here, so a bad one fails at load."""
 
-    base: BenchmarkConfig
-    lambda_triples: tuple[tuple[float, float, float], ...]  # (lambda_o, lambda_p, lambda_n)
-    steps_list: tuple[int, ...]
-    out_csv: str = ""
+    lambdas: tuple[tuple[float, float, float], ...] = ()
+    steps_list: tuple[int, ...] = ()
+    sweep_csv: str = field(default="", metadata={"path": True})
 
-    @classmethod
-    def from_file(cls, path) -> "SweepConfig":
-        mapping, base_dir, digest = read_config(path)
-        path = os.fspath(path)
-        lambdas_value = mapping.pop("lambdas", "")
-        steps_value = mapping.pop("steps_list", "")
-        out_csv = resolve_path(mapping.pop("sweep_csv", ""), base_dir)
-        cfg = BenchmarkConfig.from_mapping(mapping, base_dir, digest, path)
-
-        triples: list[tuple[float, ...]] = []
-        for chunk in filter(None, (chunk.strip() for chunk in lambdas_value.split(";"))):
-            parts = chunk.split(":")
-            if len(parts) != 3:
-                raise ConfigError(
-                    f"{path}: lambda triple {chunk!r} must be lambda_o:lambda_p:lambda_n"
-                )
-            try:
-                triples.append(tuple(float(part) for part in parts))
-            except ValueError:
-                raise ConfigError(f"{path}: non-numeric lambda in {chunk!r}") from None
-        if not triples:
-            opt = cfg.optimizer
-            triples = [(opt.lambda_o, opt.lambda_p, opt.lambda_n)]
-
-        steps_list: list[int] = []
-        for chunk in filter(None, (chunk.strip() for chunk in steps_value.split(","))):
-            try:
-                steps_list.append(int(chunk))
-            except ValueError:
-                raise ConfigError(f"{path}: non-integer steps {chunk!r}") from None
-        steps_list = steps_list or [cfg.optimizer.steps]
-        sweep_cfg = cls(
-            base=cfg,
-            lambda_triples=tuple(triples),
-            steps_list=tuple(steps_list),
-            out_csv=out_csv,
-        )
-        try:
-            sweep_cfg.grid()
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad sweep grid point: {exc}") from None
-        return sweep_cfg
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        opt = self.optimizer
+        object.__setattr__(self, "lambdas",
+                           self.lambdas or ((opt.lambda_o, opt.lambda_p, opt.lambda_n),))
+        object.__setattr__(self, "steps_list", self.steps_list or (opt.steps,))
+        self.grid()
 
     def grid(self) -> list[OptimizationConfig]:
         """The optimizer config of each grid point, lambda triples outer,
         steps inner."""
         return [
-            replace(self.base.optimizer, lambda_o=lambda_o, lambda_p=lambda_p,
+            replace(self.optimizer, lambda_o=lambda_o, lambda_p=lambda_p,
                     lambda_n=lambda_n, steps=steps)
-            for lambda_o, lambda_p, lambda_n in self.lambda_triples
+            for lambda_o, lambda_p, lambda_n in self.lambdas
             for steps in self.steps_list
         ]
 
@@ -604,17 +570,15 @@ def sweep(cfg: SweepConfig, chat_client=None, embed_client=None,
     a CSV whose rows are lambda_o, lambda_p, lambda_n, steps, then the
     optimized system's aggregate for each configured metric.
     """
-    if "deo" not in cfg.base.systems:
+    if "deo" not in cfg.systems:
         raise ConfigError("sweep requires the 'deo' system in the benchmark config")
-    runner = _BenchmarkRunner(cfg.base, chat_client, embed_client, **options)
+    runner = _BenchmarkRunner(cfg, chat_client, embed_client, **options)
     reports: list[MetricReport] = []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["lambda_o", "lambda_p", "lambda_n", "steps", *cfg.base.metrics]
-    )
+    writer.writerow(["lambda_o", "lambda_p", "lambda_n", "steps", *cfg.metrics])
     for optimizer in cfg.grid():
-        runner.cfg = replace(cfg.base, optimizer=optimizer, run_dir="")
+        runner.cfg = replace(cfg, optimizer=optimizer, run_dir="")
         report = runner.run()
         reports.append(report)
         writer.writerow([
@@ -622,9 +586,9 @@ def sweep(cfg: SweepConfig, chat_client=None, embed_client=None,
             repr(optimizer.lambda_p),
             repr(optimizer.lambda_n),
             optimizer.steps,
-            *(repr(report.aggregates["deo"][m]) for m in cfg.base.metrics),
+            *(repr(report.aggregates["deo"][m]) for m in cfg.metrics),
         ])
     csv_text = buf.getvalue()
-    if cfg.out_csv:
-        atomic_write_text(cfg.out_csv, csv_text)
+    if cfg.sweep_csv:
+        atomic_write_text(cfg.sweep_csv, csv_text)
     return reports, csv_text

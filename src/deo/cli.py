@@ -186,10 +186,10 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = benchmark.SweepConfig.from_file(args.config)
     if args.out:
-        cfg = replace(cfg, out_csv=args.out)
-    reports, csv_text = benchmark.sweep(cfg, **_benchmark_endpoints(args, cfg.base.offline))
-    if cfg.out_csv:
-        print(f"swept {len(reports)} grid points -> {cfg.out_csv}")
+        cfg = replace(cfg, sweep_csv=args.out)
+    reports, csv_text = benchmark.sweep(cfg, **_benchmark_endpoints(args, cfg.offline))
+    if cfg.sweep_csv:
+        print(f"swept {len(reports)} grid points -> {cfg.sweep_csv}")
     else:
         print(csv_text, end="")
     return EXIT_OK

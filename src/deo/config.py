@@ -14,6 +14,7 @@ import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import ConfigError
+from .ioutil import utf8_error
 from .optimizer import PRESETS, OptimizationConfig
 
 # Adam's constants are fixed; every other optimizer field is a config key.
@@ -42,8 +43,9 @@ def parse_flat_config(text: str, path: str = "<config>") -> dict[str, str]:
 
 
 def parse_value(value: str, kind: str, key: str, path: str):
-    """Convert one raw value to kind ('bool', 'int', 'float', 'tuple[str, ...]'
-    for a comma list, else str).
+    """Convert one raw value to kind: 'bool', 'int', 'float', a comma list
+    ('tuple[str, ...]' or 'tuple[int, ...]'), ';'-separated a:b:c triples
+    ('tuple[tuple[float, float, float], ...]'), else str.
 
     A value that does not parse is a ConfigError naming the file and key.
     """
@@ -61,6 +63,13 @@ def parse_value(value: str, kind: str, key: str, path: str):
             return float(value)
         if kind == "tuple[str, ...]":
             return tuple(item.strip() for item in value.split(",") if item.strip())
+        if kind == "tuple[int, ...]":
+            return tuple(int(item) for item in value.split(",") if item.strip())
+        if kind == "tuple[tuple[float, float, float], ...]":
+            triples = [chunk.split(":") for chunk in value.split(";") if chunk.strip()]
+            if any(len(parts) != 3 for parts in triples):
+                raise ValueError(value)
+            return tuple(tuple(float(part) for part in parts) for parts in triples)
         return value
     except ValueError:
         raise ConfigError(f"{path}: key {key!r} has invalid value {value!r}") from None
@@ -72,7 +81,11 @@ def read_config(path) -> tuple[dict[str, str], str, str]:
     path = os.fspath(path)
     with open(path, "rb") as fh:
         raw = fh.read()
-    return (parse_flat_config(raw.decode("utf-8"), path), os.path.dirname(os.path.abspath(path)),
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(str(utf8_error(path))) from None
+    return (parse_flat_config(text, path), os.path.dirname(os.path.abspath(path)),
             hashlib.sha256(raw).hexdigest()[:12])
 
 

@@ -17,6 +17,7 @@ from .errors import EmptyInputError, FormatError, ParseError
 from .ioutil import atomic_write_bytes, read_id, read_jsonl
 
 DEFAULT_MAX_SUBQUERIES = 8
+MAX_OBJECT_STARTS = 64  # '{' positions a reply is parsed from before it is garbage
 
 _EXAMPLE_QUERY = (
     "What are the characteristics and influences of the cultural center Bayreuth "
@@ -109,16 +110,18 @@ def _clean_list(items, max_subqueries: int) -> tuple[str, ...]:
 
 
 def _first_json_object(text: str) -> dict:
+    """The object that parses from the first of at most MAX_OBJECT_STARTS
+    '{' positions: each failed try scans the text up to where it failed, so
+    a reply of braces costs linear time, not quadratic."""
     decoder = json.JSONDecoder()
-    for pos, char in enumerate(text):
-        if char != "{":
-            continue
+    pos = text.find("{")
+    for _ in range(MAX_OBJECT_STARTS):
+        if pos < 0:
+            break
         try:
-            obj, _ = decoder.raw_decode(text, pos)
+            return decoder.raw_decode(text, pos)[0]  # a parse from '{' is a dict
         except (json.JSONDecodeError, RecursionError):  # nested too deep is no parse either
-            continue
-        if isinstance(obj, dict):
-            return obj
+            pos = text.find("{", pos + 1)
     raise ParseError("no JSON object found in response")
 
 
@@ -128,7 +131,8 @@ def parse_decomposition_response(
     """Extract (positives, negatives) from a model response.
 
     Tolerates surrounding prose and Markdown fences by scanning for the
-    first parseable JSON object. Duplicates and blank entries are dropped
+    first parseable JSON object (from one of the first MAX_OBJECT_STARTS
+    '{'). Duplicates and blank entries are dropped
     (order preserved) and each list is truncated to max_subqueries. Raises
     ParseError when no object parses, the shape is wrong, or both lists are
     empty after cleaning.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -94,10 +95,37 @@ def parse_line(path, lineno: int, line: str):
         raise FormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
 
 
+def utf8_error(path) -> FormatError:
+    """A FormatError naming path and the line of its first byte that is not
+    UTF-8. Readers call this only after a decode failed, so a valid file
+    costs nothing per line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines as text mode splits them: at "\n", "\r\n" and a lone "\r"
+        head = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        lineno = head.count("\n") + 1
+        return FormatError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})")
+    return FormatError(f"{path}: invalid UTF-8")
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """path opened as UTF-8 text; a byte that is not UTF-8, read anywhere in
+    the block, raises FormatError naming its line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
+
+
 def read_jsonl(path):
-    """Yield (lineno, object) for every non-blank line; malformed JSON raises
-    FormatError naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (lineno, object) for every non-blank line; malformed JSON or
+    UTF-8 raises FormatError naming the file and line."""
+    with open_text(path) as fh:
         for lineno, line in jsonl_lines(fh):
             yield lineno, parse_line(path, lineno, line)
 

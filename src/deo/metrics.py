@@ -11,6 +11,7 @@ import math
 
 from .errors import FormatError
 from .index import RankedList
+from .ioutil import open_text
 
 Qrels = dict[str, dict[str, int]]
 
@@ -18,7 +19,7 @@ Qrels = dict[str, dict[str, int]]
 def load_qrels(path) -> Qrels:
     """Parse TREC qrels lines: query_id 0 doc_id relevance."""
     qrels: Qrels = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

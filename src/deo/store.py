@@ -25,8 +25,10 @@ from functools import partial
 import numpy as np
 import orjson
 
-from .errors import DimensionMismatchError, DuplicateIdError, EmptyInputError, FormatError
-from .ioutil import SHALLOW_TEXT, atomic_write_bytes, jsonl_lines, loads, parse_line, read_id
+from .errors import (ConfigError, DimensionMismatchError, DuplicateIdError, EmptyInputError,
+                     FormatError)
+from .ioutil import (SHALLOW_TEXT, atomic_write_bytes, jsonl_lines, loads, open_text, parse_line,
+                     read_id)
 from .vecmath import raw_row_norms
 
 JSONL_FORMAT_NAME = "deo-emb"
@@ -150,7 +152,7 @@ class EmbeddingStore:
         rows as the file could hold. _quick_record parses a record line; a
         line it leaves goes through ioutil.loads and _record_row, so any
         line a check rejects raises the FormatError naming its line."""
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             lines = jsonl_lines(fh)
             try:
                 lineno, line = next(lines)
@@ -164,6 +166,8 @@ class EmbeddingStore:
                 raise FormatError(f"{path}:{lineno}: unsupported version {version!r}")
             if type(dim) is not int or dim <= 0:
                 raise FormatError(f"{path}:{lineno}: header dim must be a positive integer")
+            if dim >= 2**32:  # the binary header's limit, far past any model's
+                raise FormatError(f"{path}:{lineno}: header dim {dim} is too large")
             model = str(header.get("model", ""))
             # a record line holds at least 2 * dim + 19 characters and a line
             # end. An anonymous map commits only the rows written; numpy asks
@@ -489,14 +493,19 @@ def ingest_corpus(
 
     embed_fn takes a list of strings and returns a list of vectors. With
     resume=True and an existing store at out_path, records already present
-    (matching id) are not re-embedded. The store is written atomically once
-    at the end.
+    (matching id) are not re-embedded; a model other than the store's (a
+    store without one included) raises ConfigError before any request, and
+    model="" adopts the store's. The store is written atomically once at the
+    end.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     existing: EmbeddingStore | None = None
     if resume and os.path.exists(os.fspath(out_path)):
         existing = load_store(out_path)
+        if model and model != existing.model:
+            raise ConfigError(f"{out_path}: cannot resume a store embedded with model "
+                              f"{existing.model!r} using model {model!r}")
 
     pending = [(doc_id, text) for doc_id, text in texts.items()
                if existing is None or doc_id not in existing]

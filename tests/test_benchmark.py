@@ -378,6 +378,16 @@ def test_online_run_without_model_matches_client_model(tmp_path, client_model, c
     assert chat.calls == calls
 
 
+def test_rank_rejects_an_unknown_system_before_any_request():
+    embed, chat = CountingEmbedClient(), ScriptedChatClient("test-model")
+    pipeline = QueryPipeline(chat_client=chat, embed_client=embed)
+    rankings = pipeline.rank(FlatIndex.build(DOCS.items()), ["deo", "bm25"],
+                             [("q1", "alpha")], 1, OptimizationConfig())
+    with pytest.raises(ConfigError, match="unknown system 'bm25'"):
+        next(rankings)
+    assert (embed.calls, chat.calls) == (0, 0)
+
+
 def test_offline_missing_subquery_embedding(tmp_path):
     cfg = build_env(tmp_path)
     qstore = EmbeddingStore(dim=4, model="test-enc")
@@ -662,7 +672,7 @@ def test_sweep_singleton_matches_run_benchmark(tmp_path, monkeypatch):
         (tmp_path / "bench.cfg").read_text(),
     )
     sweep_cfg = SweepConfig.from_file(sweep_path)
-    assert sweep_cfg.lambda_triples == ((0.2, 1.0, 1.0),)
+    assert sweep_cfg.lambdas == ((0.2, 1.0, 1.0),)
     assert sweep_cfg.steps_list == (20,)
     reports, csv_text = sweep(sweep_cfg)
     assert len(reports) == 1
@@ -682,9 +692,9 @@ def test_sweep_grid_order_and_csv(tmp_path):
         "sweep_csv = out/sweep.csv\n"
     )
     sweep_cfg = SweepConfig.from_file(write_sweep_cfg(tmp_path, body))
-    assert sweep_cfg.lambda_triples == ((0.2, 1.0, 1.0), (1.0, 1.0, 0.5))
+    assert sweep_cfg.lambdas == ((0.2, 1.0, 1.0), (1.0, 1.0, 0.5))
     assert sweep_cfg.steps_list == (0, 20)
-    assert sweep_cfg.out_csv == str(tmp_path / "out" / "sweep.csv")
+    assert sweep_cfg.sweep_csv == str(tmp_path / "out" / "sweep.csv")
 
     reports, csv_text = sweep(sweep_cfg)
     assert len(reports) == 4
@@ -718,7 +728,7 @@ def test_sweep_bad_lambda_shapes(tmp_path):
     base = (tmp_path / "bench.cfg").read_text()
     with pytest.raises(ConfigError, match="lambda"):
         SweepConfig.from_file(write_sweep_cfg(tmp_path, base + "lambdas = 1:2\n"))
-    with pytest.raises(ConfigError, match="non-numeric"):
+    with pytest.raises(ConfigError, match="lambdas"):
         SweepConfig.from_file(write_sweep_cfg(tmp_path, base + "lambdas = a:b:c\n"))
-    with pytest.raises(ConfigError, match="non-integer"):
+    with pytest.raises(ConfigError, match="steps_list"):
         SweepConfig.from_file(write_sweep_cfg(tmp_path, base + "steps_list = 1.5\n"))

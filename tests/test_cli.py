@@ -142,6 +142,16 @@ def test_index_names_a_header_field_that_is_no_json_integer(tmp_path, capsys, fi
     assert err == json.dumps({"error": "FormatError", "message": f"{path}:1: {message}"}) + "\n"
 
 
+@pytest.mark.parametrize("dim", [2**32, 2**61, 2**63])
+def test_index_names_a_header_dim_too_large_for_any_store(tmp_path, capsys, dim):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"format":"deo-emb","version":1,"dim":%d}\n{"id":"a","vector":[1]}\n' % dim)
+    code, out, err = run_cli(capsys, "index", "--store", str(path))
+    assert (code, out) == (1, "")
+    assert err == json.dumps({"error": "FormatError",
+                              "message": f"{path}:1: header dim {dim} is too large"}) + "\n"
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
 def test_index_on_a_store_without_records_is_empty_input(tmp_path, capsys, fmt):
     path = tmp_path / "corpus.store"
@@ -443,6 +453,27 @@ def test_optimize_stdout_document(fixtures_dir, capsys):
     assert len(doc["embedding"]) == 8
     assert doc["negatives"] == ["environmental impact of dams"]
     assert np.isfinite(doc["final_loss"])
+
+
+def test_optimize_offline_names_a_subquery_missing_from_the_query_store(
+        fixtures_dir, tmp_path, capsys):
+    missing = "environmental impact of dams"
+    full = load_store(fixtures_dir / "queries.emb.jsonl")
+    store = EmbeddingStore(dim=full.dim, model=full.model)
+    for key in full.ids:
+        if key != missing:
+            store.add(key, full.get(key))
+    save_store(store, tmp_path / "q.emb.jsonl")
+    code, out, err = run_cli(
+        capsys, "optimize", "--config", str(fixtures_dir / "tool.cfg"),
+        "--query", "hydroelectric dams without their environmental impact",
+        "--query-store", str(tmp_path / "q.emb.jsonl"),
+        "--cache", str(fixtures_dir / "cache.jsonl"),
+        "--offline",
+    )
+    assert (code, out) == (1, "")
+    assert err == json.dumps({"error": "MissingEmbeddingError",
+                              "message": f"no embedding available for {missing!r}"}) + "\n"
 
 
 # -- eval / sweep / trajectory match committed goldens ------------------------
@@ -794,6 +825,29 @@ def test_ingest_and_resume(tmp_path, mock_api, capsys):
     assert code == 0
     assert "(0 embedded, 3 reused)" in out
     assert mock_api.request_count("/v1/embeddings") == 2
+
+
+@pytest.mark.parametrize("stored_model", ["enc-a", ""])
+def test_ingest_resume_refuses_a_store_of_another_model(tmp_path, mock_api, capsys, stored_model):
+    """Resuming never mixes vectors of two models: a store made by another
+    model, or by an unrecorded one, fails before any request."""
+    cfg = write_tool_cfg(tmp_path, mock_api)
+    write_queries(tmp_path / "docs.jsonl", [("d1", "one"), ("d2", "two")])
+    out_path = tmp_path / "corpus.emb.jsonl"
+    store = EmbeddingStore(dim=mock_api.embed_dim, model=stored_model)
+    store.add("d1", np.ones(mock_api.embed_dim))
+    save_store(store, out_path)
+    before = out_path.read_bytes()
+
+    code, out, err = run_cli(capsys, "ingest", "--config", str(cfg),
+                             "--docs", str(tmp_path / "docs.jsonl"),
+                             "--out", str(out_path), "--resume")
+    assert (code, out) == (1, "")
+    assert err == json.dumps({"error": "ConfigError", "message": (
+        f"{out_path}: cannot resume a store embedded with model {stored_model!r} "
+        "using model 'mock-emb'")}) + "\n"
+    assert mock_api.request_count("/v1/embeddings") == 0
+    assert out_path.read_bytes() == before
 
 
 def test_ingest_binary_format(tmp_path, mock_api, capsys):

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from deo.clients import ChatClient, ClientConfig
 from deo.decomposer import (
+    MAX_OBJECT_STARTS,
     DecomposedQuery,
     DecompositionCache,
     build_decomposition_prompt,
@@ -109,6 +111,20 @@ TOO_DEEP = '{"positives": ' + "[" * 3000
 def test_parse_reply_nested_too_deep_is_a_parse_error():
     with pytest.raises(ParseError, match="no JSON object found"):
         parse_decomposition_response(TOO_DEEP)
+
+
+def test_parse_a_megabyte_of_braces_fails_in_linear_time():
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match="no JSON object found"):
+        parse_decomposition_response("{" * 10**6)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_parse_tries_the_first_max_object_starts_braces_only():
+    garbage = "{ " * (MAX_OBJECT_STARTS - 1)
+    assert parse_decomposition_response(garbage + VALID)[1] == ("coal plants",)
+    with pytest.raises(ParseError, match="no JSON object found"):
+        parse_decomposition_response("{ " + garbage + VALID)
 
 
 class ScriptedChat:
@@ -221,6 +237,13 @@ def test_cache_lookup_any_model(tmp_path):
     cache.put(entry(model="exotic"))
     assert cache.get("q text", "other") is None
     assert cache.lookup("q text") is not None
+
+
+def test_cache_lookup_prefers_the_entry_made_under_no_model(tmp_path):
+    cache = DecompositionCache(tmp_path / "c.jsonl")
+    cache.put(entry(model="exotic", qid="q1"))
+    cache.put(entry(model="", qid="q2"))
+    assert cache.lookup("q text").query_id == "q2"
 
 
 def test_cache_keeps_first_seen_order(tmp_path):

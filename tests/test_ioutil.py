@@ -7,9 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deo import ioutil
+from deo.config import read_config
 from deo.decomposer import DecompositionCache
-from deo.errors import EmptyInputError, FormatError
-from deo.ioutil import load_texts_jsonl, loads
+from deo.errors import ConfigError, EmptyInputError, FormatError
+from deo.ioutil import atomic_write_bytes, load_texts_jsonl, loads
+from deo.metrics import load_qrels
 from deo.store import load_store
 
 from conftest import child_env
@@ -207,3 +210,59 @@ def test_texts_file_without_records_is_empty_input(tmp_path, text):
     with pytest.raises(EmptyInputError) as info:
         load_texts_jsonl(path)
     assert str(info.value) == f"{path}: no records"
+
+
+# -- bytes that are not UTF-8 --------------------------------------------------
+
+# reader -> (the n-th valid line, a line holding a byte that is not UTF-8,
+# path -> what the reader reads, the error it raises); a store opens with its
+# header line
+UTF8_READERS = {
+    "texts": (lambda n: '{"id": "q%d", "text": "ok"}' % n, b'{"id": "x", "text": "\xff"}',
+              load_texts_jsonl, FormatError),
+    "cache": (lambda n: '{"query": "t%d", "positives": [], "negatives": []}' % n,
+              b'{"query": "\xff", "positives": [], "negatives": []}',
+              DecompositionCache, FormatError),
+    "store": (lambda n: ('{"format": "deo-emb", "version": 1, "dim": 1}' if n == 0
+                         else '{"id": "d%d", "vector": [1.0]}' % n),
+              b'{"id": "\xff", "vector": [1.0]}', load_store, FormatError),
+    "qrels": (lambda n: "q1 0 d%d 1" % n, b"q1 0 d\xff 1", load_qrels, FormatError),
+    "config": (lambda n: "# line %d" % n, b"model = \xff", read_config, ConfigError),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(UTF8_READERS))
+@pytest.mark.parametrize("good, newline", [(2, b"\n"), (3000, b"\n"), (3000, b"\r\n")])
+def test_every_reader_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, reader, good, newline):
+    # 3000 lines put the bad byte past the first block text mode decodes
+    line, bad, read, error = UTF8_READERS[reader]
+    path = tmp_path / "records"
+    lines = [line(n).encode() for n in range(good)] + [bad, line(good).encode()]
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(error) as info:
+        read(path)
+    assert type(info.value) is error
+    assert str(info.value) == f"{path}:{good + 1}: invalid UTF-8 (invalid start byte)"
+
+
+def test_a_lone_carriage_return_ends_a_line_for_the_utf8_diagnostic(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    path.write_bytes(b'{"id": "a", "text": "ok"}\r{"id": "b", "text": "\xc3"}\n')
+    with pytest.raises(FormatError) as info:
+        load_texts_jsonl(path)
+    assert str(info.value) == f"{path}:2: invalid UTF-8 (invalid continuation byte)"
+
+
+def test_atomic_write_leaves_the_target_and_no_temp_file_when_the_rename_fails(
+        tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(ioutil.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write_bytes(target, b"new")
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
