@@ -1,8 +1,10 @@
 """Trajectory analysis: project an optimization run into 2-D and export it.
 
-Everything here is a pure function of its inputs, so exports and rendered
-SVGs are byte-reproducible. The corpus cloud is thinned by a deterministic
-stride so plots stay readable at any corpus size.
+Everything here is a pure function of its inputs and of the BLAS behind
+the PCA, whose summation order can follow the BLAS thread count: exports
+and rendered SVGs are byte-identical for a fixed BLAS thread count on one
+machine. The corpus cloud is thinned by a deterministic stride so plots
+stay readable at any corpus size.
 """
 
 from __future__ import annotations

@@ -1,27 +1,8 @@
 """Exact cosine retrieval over an in-memory corpus, plus rank fusion.
 
-The index keeps the corpus vectors plus one float64 norm per row:
-FlatIndex.build copies its records to float64, and FlatIndex.from_store
-scores a store's read-only float32 matrix in place, taking a v3 store's
-stored norms and id rank instead of recomputing them.
-
-search_many normalizes its query rows and screens them PRODUCT_ROWS (128) at
-a time: one matrix product in the corpus dtype against the whole corpus,
-scaled in place by each row's reciprocal norm held in that dtype, so a
-float32 corpus never makes a float64 (rows, n) copy. A float32 corpus with a
-norm above FLOAT32_SCREEN_MAX_NORM (2**126, where the float32 reciprocal
-would turn subnormal) is screened in float64 instead. The screen only picks
-candidates: every doc within a slack of 4 (d + 2) eps of the k-th best,
-which _top_k proves covers every rounding of the screen. Their scores are
-recomputed in float64 one query at a time, so a query ranks the same alone
-or in any batch, with the ids and scores of a float64 brute force. Ties are
-broken by ascending doc id to keep every ranking deterministic.
-
-QueryPipeline.rank (deo.benchmark) hands search_many one block of
-SEARCH_BLOCK (64) queries at a time, with every system's rows of that block
-in one call. It checks those rows before searching, so it raises what
-ranking the systems one after another would raise first: the first bad
-query of the first system that has one.
+FlatIndex ranks by float64 cosine, ties broken by ascending doc id: a
+batched screen in the corpus dtype picks candidates, and _top_k rescores
+them and proves that they hold the true top k.
 """
 
 from __future__ import annotations
@@ -170,7 +151,10 @@ class FlatIndex:
 
         All rows are normalized with one row_norms call, so the first bad row
         raises, naming it as query i (its 0-based place in `queries`). The
-        unit rows are then screened PRODUCT_ROWS at a time.
+        unit rows are then screened PRODUCT_ROWS at a time, scaled in place,
+        so a float32 corpus makes no float64 (rows, n) copy. Each query's
+        candidates are rescored from it alone, so it ranks the same alone or
+        in any batch, with the ids and scores of a float64 brute force.
         """
         if k <= 0:
             raise ValueError("k must be positive")

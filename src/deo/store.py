@@ -1,21 +1,17 @@
-"""On-disk embedding stores: line-oriented JSON and a compact binary layout.
+"""On-disk embedding stores: line-oriented JSONL and a binary layout.
 
 Both formats store float32 vectors; arithmetic elsewhere runs in float64.
 The JSONL format opens with a header object, the binary format with a magic
 string, so either loader can reject the wrong file with a line/offset
-diagnostic instead of garbage.
-
-Binary saves write v3: a header, one JSON block of the model and the ids,
-the raw float32 matrix, each row's float64 norm and the int64 id rank (each
-row's place in ascending id order). A load maps the last three read-only, so
-indexing a v3 store recomputes neither the norms nor the id order. v2 files
-(no model, norms or id rank) and v1 files (an id and a vector per record)
-still load.
+diagnostic instead of garbage. Binary saves write v3, laid out in README's
+"File formats"; v2 and v1 files still load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import mmap
 import os
 import struct
@@ -37,6 +33,9 @@ BINARY_MAGIC = b"DEOEMB3\x00"
 _V1_HEADER = struct.Struct("<IQ")  # dim, count
 _HEADER = struct.Struct("<IQQ")  # v2 and v3: dim, count, ids-block length
 _ALIGN = 64  # every block after the ids block starts at a multiple of this offset
+_HASH_CHUNK = 1 << 16  # bytes of a JSONL file hashed at a time
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -195,16 +194,20 @@ class EmbeddingStore:
 
     # -- binary --------------------------------------------------------
 
-    def save_binary(self, path) -> None:
+    def save_binary(self, path, source_sha256: str = "") -> None:
         """Write the v3 layout; json.dumps escapes lone surrogates in ids.
 
         The stored norms are raw_row_norms, so a zero or non-finite row
         still saves and raises only when the store is indexed, as it would
-        from any other format.
+        from any other format. A source_sha256 is recorded in the ids block
+        as the digest of the JSONL file this file mirrors (see save_mirror).
         """
         if not set(map(type, self._ids)) <= {str}:
             raise FormatError("a binary store's ids must all be strings")
-        meta = json.dumps({"model": self.model, "ids": self._ids}, separators=(",", ":")).encode()
+        meta = {"model": self.model, "ids": self._ids}
+        if source_sha256:
+            meta["source_sha256"] = source_sha256
+        meta = json.dumps(meta, separators=(",", ":")).encode()
         matrix = np.ascontiguousarray(self.matrix, dtype="<f4")
         parts = [BINARY_MAGIC, _HEADER.pack(self.dim, len(self._ids), len(meta)), meta]
         end = len(BINARY_MAGIC) + _HEADER.size + len(meta)
@@ -214,11 +217,13 @@ class EmbeddingStore:
         atomic_write_bytes(path, b"".join(parts))
 
     @classmethod
-    def _load_mapped(cls, path, fh, size: int, v3: bool) -> "EmbeddingStore":
+    def _load_mapped(cls, path, fh, size: int, v3: bool,
+                     source: str | None = None) -> "EmbeddingStore":
         """Load a v2 or v3 file. It must have exactly the size its header
         implies before anything is read or mapped, so a header that
         overstates the count fails without allocating. A v3 file's norms
-        and id rank are mapped, not recomputed; see _map_v3_tail."""
+        and id rank are mapped, not recomputed; see _map_v3_tail. With a
+        source digest, the ids block must record it (see _load_mirror)."""
         head = fh.read(_HEADER.size)
         ids_start = len(BINARY_MAGIC) + _HEADER.size
         if len(head) < _HEADER.size:
@@ -249,9 +254,13 @@ class EmbeddingStore:
             ids = None
         model = ""
         if v3:
-            if type(ids) is not dict or ids.keys() != {"model", "ids"} or type(ids["model"]) is not str:
+            meta = ids if type(ids) is dict else {}
+            digest = meta.pop("source_sha256", "")
+            if meta.keys() != {"model", "ids"} or type(meta["model"]) is not str or type(digest) is not str:
                 raise FormatError(f"{path}: ids block is not a JSON object of a model string and ids")
-            model, ids = ids["model"], ids["ids"]
+            if source is not None and digest != source:
+                raise FormatError(f"{path}: ids block records no digest of this JSONL file")
+            model, ids = meta["model"], meta["ids"]
         if type(ids) is not list or len(ids) != count or not set(map(type, ids)) <= {str}:
             raise FormatError(f"{path}: ids block is not a JSON array of {count} strings")
         index = dict(zip(ids, range(count)))
@@ -410,7 +419,9 @@ _BINARY_LOADERS = {
 def load_store(path) -> EmbeddingStore:
     """Load a store, its format told by its first 8 bytes: a binary magic
     passes the open file to that version's loader, a binary store of an
-    unknown version raises, anything else is read as JSONL."""
+    unknown version raises, anything else is JSONL. A JSONL store loads
+    from its mirror when _load_mirror accepts one, else it is parsed.
+    Either way every error names path, and no file is written."""
     with open(path, "rb") as fh:
         head = fh.read(len(BINARY_MAGIC))
         loader = _BINARY_LOADERS.get(head)
@@ -418,7 +429,58 @@ def load_store(path) -> EmbeddingStore:
             return loader(path, fh, os.fstat(fh.fileno()).st_size)
         if len(head) == len(BINARY_MAGIC) and head.startswith(b"DEOEMB"):
             raise FormatError(f"{path}: unsupported binary store version {head[6:]!r}")
-    return EmbeddingStore.load_jsonl(path)
+        fh.seek(0)
+        store = _load_mirror(path, fh)
+    return EmbeddingStore.load_jsonl(path) if store is None else store
+
+
+def mirror_path(path) -> str:
+    """Where the v3 mirror of the JSONL store at path lives."""
+    return os.fspath(path) + ".v3"
+
+
+def _sha256(fh) -> str:
+    """Hex sha256 of the rest of an open binary file, read _HASH_CHUNK
+    bytes at a time into one buffer."""
+    digest, chunk = hashlib.sha256(), bytearray(_HASH_CHUNK)
+    view = memoryview(chunk)
+    while n := fh.readinto(chunk):
+        digest.update(view[:n])
+    return digest.hexdigest()
+
+
+def _load_mirror(path, fh) -> EmbeddingStore | None:
+    """The store in the mirror of the JSONL file path, open as fh at its
+    start, or None unless the mirror is a valid v3 file recording the
+    sha256 of fh's bytes. The JSONL is hashed only when a file with the v3
+    magic is there. Errors the store raises later name path."""
+    try:
+        with open(mirror_path(path), "rb") as mirror:
+            if mirror.read(len(BINARY_MAGIC)) == BINARY_MAGIC:
+                return EmbeddingStore._load_mapped(path, mirror, os.fstat(mirror.fileno()).st_size,
+                                                   v3=True, source=_sha256(fh))
+    except (OSError, FormatError):
+        pass
+    return None
+
+
+def save_mirror(store: EmbeddingStore, path) -> None:
+    """Write store, read from or saved as the JSONL file path, to
+    mirror_path(path) as v3 with the sha256 of that file's bytes. The JSONL
+    writes every NaN as the token NaN, so the mirror holds the float32 that
+    token parses to. A failed write (an OSError, or ids that are not all
+    strings) only logs a warning: without a mirror the JSONL is parsed, and
+    a stale one no longer matches the digest."""
+    nan = np.isnan(store.matrix)
+    if nan.any():
+        store = EmbeddingStore(store.dim, store.model, store._ids, store._index,
+                               np.where(nan, np.float32("nan"), store.matrix))
+    try:
+        with open(path, "rb") as fh:
+            digest = _sha256(fh)
+        store.save_binary(mirror_path(path), source_sha256=digest)
+    except (OSError, FormatError) as exc:
+        logger.warning("%s: no v3 mirror written, loads will parse the JSONL (%s)", path, exc)
 
 
 def save_store(store: EmbeddingStore, path, fmt: str = "jsonl") -> None:
@@ -496,7 +558,8 @@ def ingest_corpus(
     (matching id) are not re-embedded; a model other than the store's (a
     store without one included) raises ConfigError before any request, and
     model="" adopts the store's. The store is written atomically once at the
-    end.
+    end; a JSONL store is then mirrored by save_mirror, which never fails
+    the ingest.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -524,6 +587,8 @@ def ingest_corpus(
     for doc_id in texts:
         store.add(doc_id, fresh[doc_id] if doc_id in fresh else existing.get(doc_id))
     save_store(store, out_path, fmt=fmt)
+    if fmt == "jsonl":
+        save_mirror(store, out_path)
     report = IngestReport(
         total=len(store),
         embedded=len(pending),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -1137,3 +1138,221 @@ def test_ingest_corpus_dimension_change_mid_stream(tmp_path):
         ingest_corpus({"a": "x", "b": "y"}, lambda texts: next(batches),
                       tmp_path / "s.jsonl", batch_size=1)
     assert not (tmp_path / "s.jsonl").exists()
+
+
+# -- v3 mirrors of JSONL stores ----------------------------------------------
+
+
+def write_jsonl(path, dim, model, records) -> None:
+    """A JSONL store of (id, row) records as any writer may lay it out: an
+    integer id stays a JSON integer, NaN and inf rows keep json's tokens."""
+    lines = [json.dumps({"format": "deo-emb", "version": 1, "dim": dim, "model": model})]
+    lines += [json.dumps({"id": record_id, "vector": [float(x) for x in row]})
+              for record_id, row in records]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def parsed_only():
+    """load_store with its mirror ignored: the JSONL as it parses."""
+    return mock.patch.object(store_module, "_load_mirror", return_value=None)
+
+
+def index_outcome(store):
+    """(norm bits, search results) of the index built from store, or the
+    error's type and message."""
+    try:
+        index = FlatIndex.from_store(store)
+    except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
+        return type(exc), str(exc)
+    query = np.ones(index.dim)
+    return index._norms.tobytes(), index.search_many([query, -query], k=3)
+
+
+def assert_same_store(mirrored, parsed) -> None:
+    assert (mirrored.dim, mirrored.model, mirrored.ids) == (parsed.dim, parsed.model, parsed.ids)
+    assert mirrored.matrix.tobytes() == parsed.matrix.tobytes()
+    assert mirrored.stored_norms().tobytes() == raw_row_norms(parsed.matrix).tobytes()
+    assert np.array_equal(mirrored._id_rank, store_module.id_rank(parsed.ids))
+    assert index_outcome(mirrored) == index_outcome(parsed)
+
+
+@st.composite
+def mirrored_jsonl(draw):
+    """(dim, model, records) with ids of lone surrogates and integers and
+    rows of arbitrary float32 bits, NaN payloads and zero rows included."""
+    store = draw(jsonl_stores())
+    ints = draw(st.lists(st.integers(-2**70, 2**70), max_size=3, unique=True))
+    records = list(zip(store.ids, store.matrix))
+    records += [(i, np.arange(1, store.dim + 1, dtype=np.float32) * (i % 3 - 1))
+                for i in ints if str(i) not in store]
+    draw(st.randoms()).shuffle(records)
+    return store.dim, draw(st.text(max_size=4)), records
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(mirrored_jsonl())
+@example((2, "m", [("\ud800", np.ones(2)), (7, np.ones(2))]))
+@example((2, "", [("a", np.array([np.nan, 1.0])), ("b", np.ones(2))]))
+@example((2, "", [("a", np.ones(2)), ("b", np.zeros(2))]))
+def test_a_mirror_loads_what_the_jsonl_parses_to(tmp_path_factory, case):
+    dim, model, records = case
+    path = tmp_path_factory.mktemp("mirror") / "s.jsonl"
+    write_jsonl(path, dim, model, records)
+    # the store as ingest held it, NaN payloads and all, ids as text
+    held = EmbeddingStore(dim=dim, model=model)
+    for record_id, row in records:
+        held.add(str(record_id), row)
+    store_module.save_mirror(held, path)
+    with parsed_only():
+        parsed = load_store(path)
+    with mock.patch.object(EmbeddingStore, "load_jsonl", side_effect=AssertionError("parsed")):
+        mirrored = load_store(path)
+    assert mirrored._unchecked == str(path)  # what a deferred check would name
+    assert_same_store(mirrored, parsed)
+    assert "s.jsonl.v3" not in str(index_outcome(mirrored))
+
+
+def ingested_jsonl(tmp_path, n=6, dim=3):
+    embedder = CountingEmbedder(dim=dim)
+    path = tmp_path / "corpus.jsonl"
+    ingest_corpus({f"d{i}": f"text {i}" for i in range(n)}, embedder.embed, path, model="m")
+    return path
+
+
+def test_ingest_writes_a_v3_mirror_that_records_the_jsonl_digest(tmp_path):
+    path = ingested_jsonl(tmp_path)
+    mirror = tmp_path / "corpus.jsonl.v3"
+    assert store_module.mirror_path(path) == str(mirror)
+    data = mirror.read_bytes()
+    (ids_start, ids_end) = v3_layout(data)[2][0]
+    meta = json.loads(data[ids_start:ids_end])
+    assert meta["source_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    # the mirror is a v3 store in its own right, too
+    mirrored = load_store(path)
+    assert load_store(mirror).ids == mirrored.ids
+    with parsed_only():
+        assert_same_store(mirrored, load_store(path))
+
+
+def test_ingest_resume_rewrites_the_jsonl_and_its_mirror(tmp_path):
+    path = ingested_jsonl(tmp_path, n=3)
+    embedder = CountingEmbedder(dim=3)
+    ingest_corpus({f"d{i}": f"text {i}" for i in range(5)}, embedder.embed, path, resume=True)
+    with mock.patch.object(EmbeddingStore, "load_jsonl", side_effect=AssertionError("parsed")):
+        mirrored = load_store(path)
+    assert mirrored.ids == [f"d{i}" for i in range(5)]
+    with parsed_only():
+        assert_same_store(mirrored, load_store(path))
+
+
+def test_ingest_as_binary_writes_no_mirror(tmp_path):
+    embedder = CountingEmbedder(dim=3)
+    ingest_corpus({"d1": "one"}, embedder.embed, tmp_path / "s.bin", fmt="binary")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.bin"]
+
+
+def test_ingest_survives_a_mirror_it_cannot_write(tmp_path, caplog):
+    path = ingested_jsonl(tmp_path, n=3)
+    stale = (tmp_path / "corpus.jsonl.v3").read_bytes()
+    embedder = CountingEmbedder(dim=3)
+    with mock.patch.object(EmbeddingStore, "save_binary", side_effect=OSError(36, "File name too long")):
+        report, _ = ingest_corpus({"d7": "seven"}, embedder.embed, path)
+    assert report.total == 1
+    warnings_logged = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings_logged) == 1 and "File name too long" in warnings_logged[0].getMessage()
+    # the stale mirror is left, and ignored by its digest
+    assert (tmp_path / "corpus.jsonl.v3").read_bytes() == stale
+    assert load_store(path).ids == ["d7"] and load_store(path).stored_norms() is None
+
+
+def test_cli_ingest_output_and_exit_code_hold_when_the_mirror_fails(tmp_path, mock_api, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "a", "text": "x"}\n{"id": "b", "text": "y"}\n')
+    cfg = tmp_path / "tool.cfg"
+    cfg.write_text(f"embed_base_url = {mock_api.base_url}\nembed_model = e\n")
+    argv = ["ingest", "--config", str(cfg), "--docs", str(docs), "--out", str(tmp_path / "s.jsonl")]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.split(", dim")[0]
+    with mock.patch.object(EmbeddingStore, "save_binary", side_effect=PermissionError(13, "denied")):
+        assert main(argv) == 0
+    assert capsys.readouterr().out.split(", dim")[0] == expected
+
+
+def fallback_cases():
+    def flip_byte(path):
+        data = bytearray(path.read_bytes())
+        data[data.rindex(b"]") - 1] ^= 1  # the last digit of the last row
+        path.write_bytes(bytes(data))
+
+    def append_line(path):
+        with open(path, "a") as fh:
+            fh.write('{"id":"late","vector":[1,2,3]}\n')
+
+    def truncate_mirror(path):
+        mirror = tmp_mirror(path)
+        mirror.write_bytes(mirror.read_bytes()[:-1])
+
+    def garbage_mirror(path):
+        tmp_mirror(path).write_bytes(bytes(range(256)) * 8)
+
+    def mirror_without_digest(path):
+        with parsed_only():
+            load_store(path).save_binary(tmp_mirror(path))
+
+    def no_mirror(path):
+        tmp_mirror(path).unlink()
+
+    def mirror_is_a_directory(path):
+        no_mirror(path)
+        tmp_mirror(path).mkdir()
+
+    return [flip_byte, append_line, truncate_mirror, garbage_mirror, mirror_without_digest,
+            no_mirror, mirror_is_a_directory]
+
+
+def tmp_mirror(path):
+    return path.with_name(path.name + ".v3")
+
+
+@pytest.mark.parametrize("spoil", fallback_cases(), ids=lambda f: f.__name__)
+def test_a_mirror_that_does_not_match_is_ignored_and_the_jsonl_parsed(tmp_path, spoil):
+    path = ingested_jsonl(tmp_path)
+    spoil(path)
+    with mock.patch.object(EmbeddingStore, "load_jsonl", wraps=EmbeddingStore.load_jsonl) as parse:
+        loaded = load_store(path)
+    assert parse.call_count == 1 and loaded.stored_norms() is None
+    oracle = oracle_load_jsonl(path)
+    assert (loaded.model, loaded.ids, loaded.matrix.tobytes()) == \
+        (oracle.model, oracle.ids, oracle.matrix.tobytes())
+
+
+def snapshot(directory):
+    return {p.name: (p.stat().st_mtime_ns, p.read_bytes() if p.is_file() else None)
+            for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("spoil", [None, *fallback_cases()],
+                         ids=lambda f: f.__name__ if f else "valid")
+def test_load_store_creates_changes_and_deletes_no_file(tmp_path, spoil):
+    path = ingested_jsonl(tmp_path)
+    if spoil:
+        spoil(path)
+    before = snapshot(tmp_path)
+    FlatIndex.from_store(load_store(path))
+    assert snapshot(tmp_path) == before
+
+
+def test_a_binary_store_ignores_a_file_at_its_mirror_path(tmp_path):
+    rng = np.random.default_rng(5)
+    store = random_store(rng, n=4, dim=3)
+    store.save_binary(tmp_path / "s.bin")
+    random_store(rng, n=2, dim=3).save_binary(tmp_path / "s.bin.v3")
+    assert load_store(tmp_path / "s.bin").matrix.tobytes() == store.matrix.tobytes()
+
+
+def test_a_bad_line_under_a_stale_mirror_names_the_jsonl_line(tmp_path):
+    path = ingested_jsonl(tmp_path)
+    with open(path, "a") as fh:
+        fh.write('{"id":"late","vector":[1,2]}\n')
+    with pytest.raises(FormatError, match=r"corpus\.jsonl:8: vector length 2"):
+        load_store(path)
